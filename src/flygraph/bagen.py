@@ -57,10 +57,10 @@ class BAGenerator:
         if heap[0] > self.n:
             return self.n + 1
         r = heapq.heappop(heap)
-        if self.tree.flags.raw[r] == DIRECT:
+        if self.tree.flags[r] == DIRECT:
             heapq.heappush(heap, self.tree.next_child_typed(j, r, DIRECT))
         else:
-            q = self.tree.links.raw[r]
+            q = self.tree.links[r]
             heapq.heappush(heap, self.tree.next_child_typed(q, r, COPY))
         heapq.heappush(heap, self.tree.next_child_typed(r, r, COPY))
         return r

@@ -25,7 +25,8 @@ from .bagen import BAGenerator
 from .batch import BATCH_SAMPLERS, enumerate_exact
 from .linktree import RRTGenerator
 from .stats import (chi_square_gof, degree_stats, empirical_law,
-                    reconstruct_via_sweep, tree_metrics, tv_distance)
+                    reconstruct_via_sweep, schedule_queries, tree_metrics,
+                    tv_distance)
 
 TV_THRESHOLD = 0.015
 P_THRESHOLD = 0.001
@@ -68,26 +69,6 @@ def _read_queries_file(path: str, n: int):
     return queries
 
 
-def _schedule_queries(gen, n: int, schedule: str):
-    """Yield (node, answer) pairs for a full sweep or round-robin pass."""
-    if schedule == "sweep":
-        for j in range(1, n + 1):
-            while True:
-                r = gen.next_neighbor(j)
-                yield j, r
-                if r == n + 1:
-                    break
-    else:
-        active = set(range(1, n + 1))
-        while active:
-            for j in range(1, n + 1):
-                if j in active:
-                    r = gen.next_neighbor(j)
-                    yield j, r
-                    if r == n + 1:
-                        active.discard(j)
-
-
 def _cmd_sample(args) -> int:
     gen = _make_generator(args.model, args.n, args.seed, args.toss_exponent)
     if args.schedule == "file":
@@ -97,7 +78,7 @@ def _cmd_sample(args) -> int:
         nodes = _read_queries_file(args.queries_file, args.n)
         pairs = [(j, gen.next_neighbor(j)) for j in nodes]
     else:
-        pairs = list(_schedule_queries(gen, args.n, args.schedule))
+        pairs = list(schedule_queries(gen, args.schedule))
     if args.output == "json":
         print(json.dumps({
             "model": args.model, "n": args.n, "seed": args.seed,

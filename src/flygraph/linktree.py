@@ -26,11 +26,12 @@ are rejected and the scan resumes above them).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import InternalConsistencyError
-from .randomness import BitSource, COPY, DIRECT
+from .randomness import BitSource, DIRECT
 from .ranks import CandidateIndex
-from .sparse import ChildSets, LazyMap
+from .sparse import ChildSets
 
 
 def sample_candidate_rank(source: BitSource, open_count: int, t: int,
@@ -43,10 +44,12 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
         C(0) = 0,   C(y) = y / (open_count + y - 1),   C(t) = 1,
 
     and the answer is the y with C(y) <= H < C(y+1) for a uniform real H,
-    realized lazily: draw ``lattice_bits`` bits for a dyadic interval around
-    H and refine with further bits only while the interval straddles a cell
-    boundary.  All comparisons are integer cross-multiplications, so the
-    output law is exact for every parameter choice.
+    realized lazily: draw ``lattice_bits`` bits for a dyadic interval
+    [num, num+1) / 2**width around H and refine with further bits only while
+    the interval straddles a cell boundary.  C(y) <= num / 2**width rearranges
+    to y <= num (open_count-1) / (2**width - num), so the slot of the lower
+    end comes in closed form.  All arithmetic is on integers, so the output
+    law is exact for every parameter choice.
     """
     if open_count < 1:
         raise ValueError("open candidate count must be positive")
@@ -58,15 +61,9 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
     num = source.bits(k)
     width = k
     while True:
-        lo, hi = 0, t - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if (mid << width) <= num * (open_count + mid - 1):
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo == t - 1:
-            return lo
+        lo = num * (open_count - 1) // ((1 << width) - num)
+        if lo >= t - 1:
+            return t - 1
         if (num + 1) * (open_count + lo) <= (lo + 1) << width:
             return lo
         num = (num << k) | source.bits(k)
@@ -76,13 +73,8 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
 class LinkTree:
     """On-demand sampler of the parent-link tree on nodes 1..n."""
 
-    __slots__ = (
-        "n", "source", "lattice_bits", "index", "children",
-        "links", "flags", "fronts", "front_owner",
-        "scan_loop_total", "scan_loop_max",
-        "typed_inner_total", "typed_queries",
-        "_depth", "max_recursion_depth",
-    )
+    __slots__ = ("n", "source", "lattice_bits", "index", "children", "links", "flags",
+                 "fronts", "front_owner", "scan_loop_max", "_depth", "max_recursion_depth")
 
     def __init__(self, n: int, seed: int = 0, lattice_exponent: float = 3.0,
                  source: BitSource | None = None):
@@ -95,14 +87,11 @@ class LinkTree:
         self.lattice_bits = max(4, math.ceil(lattice_exponent * math.log2(max(n, 2))))
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
-        self.links = LazyMap(n, "link")
-        self.flags = LazyMap(n, "flag")
-        self.fronts = LazyMap(n, "front")
-        self.front_owner = LazyMap(n, "front-owner")
-        self.scan_loop_total = 0
+        self.links = {}
+        self.flags = {}
+        self.fronts = self.index.fronts   # written only by the index
+        self.front_owner = {}             # front target -> the node fronting it
         self.scan_loop_max = 0
-        self.typed_inner_total = 0
-        self.typed_queries = 0
         self._depth = 0
         self.max_recursion_depth = 0
 
@@ -121,10 +110,10 @@ class LinkTree:
             raise ValueError(f"node {j} outside [1, {self.n}]")
         if j == 1:
             return 1, DIRECT
-        link = self.links.raw.get(j)
+        link = self.links.get(j)
         if link is not None:
-            return link, self.flags.raw[j]
-        get_front = self.fronts.raw.get
+            return link, self.flags[j]
+        get_front = self.fronts.get
         uniform = self.source.uniform_int
         attempts = 0
         while True:
@@ -136,8 +125,8 @@ class LinkTree:
             if attempts == 64 and self.index.open_parent_count(j) == 0:
                 raise InternalConsistencyError(f"no open parent left for {j}")
         flag = self.source.uniform_flag()
-        self.links.set(j, cand)
-        self.flags.set(j, flag)
+        self.links[j] = cand
+        self.flags[j] = flag
         self.children.insert(cand, j)
         return cand, flag
 
@@ -151,7 +140,7 @@ class LinkTree:
         """
         self.parent(j)
         n = self.n
-        front = self.fronts.raw.get(j)
+        front = self.fronts.get(j)
         if front is not None and front >= n:
             if front == n:
                 self._advance_front(j, front, n + 1)
@@ -159,26 +148,36 @@ class LinkTree:
         base = j if front is None else front
         a = base + 1
         b = self.children.successor(j, base)
-        index = self.index
-        links = self.links.raw
+        skip = self.index.skip
+        pending = self.index.pending
+        links = self.links
+        # One bisection at a gives both counts of a step; the one at b serves all.
+        kb = skip.bisect_left(b)
         iters = 0
         while True:
             iters += 1
-            s = index.unskipped_count(a, b)
+            if iters > self.scan_loop_max:
+                self.scan_loop_max = iters
+            ka = skip.bisect_left(a)
+            s = (b - a) - (kb - ka)
             if s == 0:
                 h = 0
             else:
-                h = sample_candidate_rank(self.source, index.open_parent_count(a),
-                                          s + 1, self.lattice_bits)
+                open_count = (a - 1) - ka + bisect_left(pending, a)
+                h = sample_candidate_rank(self.source, open_count, s + 1,
+                                          self.lattice_bits)
             if h == s:
-                self._note_scan(iters)
                 self._advance_front(j, front, b)
                 return b
-            x = index.unskipped_after(a, h)
+            # The (h+1)-th unskipped position at or after a: the least
+            # fixpoint of x = a + h + |skip in [a, x]|, iterated up from a + h.
+            r = a + h - ka
+            x = a + h
+            while (x2 := r + skip.bisect_right(x)) != x:
+                x = x2
             if x not in links:
-                self._note_scan(iters)
                 links[x] = j
-                self.flags.raw[x] = self.source.uniform_flag()
+                self.flags[x] = self.source.uniform_flag()
                 self.children.insert(j, x)
                 self._advance_front(j, front, x)
                 return x
@@ -198,9 +197,9 @@ class LinkTree:
             raise ValueError(f"probe {k} outside [{j}, {self.n + 1}]")
         if k >= self.n:
             return self.n + 1
-        front = self.fronts.raw.get(j)
-        assert k <= front if front is not None else k == j, \
-            "probe ahead of the committed front"
+        front = self.fronts.get(j)
+        if (k > front) if front is not None else (k != j):
+            raise ValueError(f"probe {k} ahead of the committed front of {j}")
         q = self.children.successor(j, k)
         if front is not None and q <= front:
             return q
@@ -208,12 +207,10 @@ class LinkTree:
 
     def next_child_typed(self, j: int, k: int, flag: int) -> int:
         """Least child of j above k whose flag matches, or n+1."""
-        self.typed_queries += 1
         x = k
         while True:
-            self.typed_inner_total += 1
             x = self.next_child_from(j, x)
-            if x > self.n or self.flags.get(x) == flag:
+            if x > self.n or self.flags[x] == flag:
                 return x
 
     # -- recursive-tree facade -------------------------------------------------
@@ -228,21 +225,14 @@ class LinkTree:
 
     # -- internals ----------------------------------------------------------
 
-    def _note_scan(self, iters: int) -> None:
-        self.scan_loop_total += iters
-        if iters > self.scan_loop_max:
-            self.scan_loop_max = iters
-
     def _advance_front(self, j: int, old, new: int) -> None:
         """Move front(j) to ``new`` and keep every dependent structure in step.
 
-        Fixed order: front map, owner links, candidate index, then the
-        recursion that gives an unfronted target its first front.
+        Fixed order: owner links, candidate index (which moves the front),
+        then the recursion that gives an unfronted target its first front.
         """
         n = self.n
-        fronts = self.fronts.raw
-        owners = self.front_owner.raw
-        fronts[j] = new
+        owners = self.front_owner
         has_owner = j in owners
         if old is not None and old <= n:
             released = owners.pop(old, None)
@@ -254,7 +244,7 @@ class LinkTree:
                 raise InternalConsistencyError(f"front target {new} already owned")
             owners[new] = j
         self.index.on_front_advance(j, old, new, has_owner)
-        if new <= n and new not in fronts:
+        if new <= n and new not in self.fronts:
             self._depth += 1
             if self._depth > self.max_recursion_depth:
                 self.max_recursion_depth = self._depth
@@ -264,9 +254,35 @@ class LinkTree:
     # -- resource accounting ---------------------------------------------------
 
     def stored_cells(self) -> int:
-        return (len(self.links) + len(self.flags) + len(self.fronts)
-                + len(self.front_owner) + self.children.total_cells()
-                + self.index.total_cells())
+        return (len(self.links) + len(self.flags) + len(self.front_owner)
+                + self.children.total_cells() + self.index.total_cells())
+
+    def check_invariants(self) -> None:
+        """Recheck the candidate index and owner links against the fronts.
+
+        Raises :class:`InternalConsistencyError` at the first contradiction;
+        holds between public calls.  Costs O(F log F) for F fronted nodes.
+        """
+        n, fronts, owners, index = self.n, self.fronts, self.front_owner, self.index
+        if index.pending:
+            raise InternalConsistencyError(f"pending nodes at rest: {index.pending}")
+        if any(fronts.get(j) != target for target, j in owners.items()) or any(
+                not j < f <= n + 1 or (f <= n and owners.get(f) != j)
+                for j, f in fronts.items()):
+            raise InternalConsistencyError("owner links and fronts disagree")
+        if list(index.skip) != sorted(j for j in fronts if j not in owners):
+            raise InternalConsistencyError("skip set is not fronted minus owned")
+        # Node i blocks (i, front(i)].  Both counts grow by one per position
+        # between the points where a block starts or ends; check those.
+        change = dict.fromkeys((2, n + 1), 0)
+        for i, f in fronts.items():
+            change[i + 1] = change.get(i + 1, 0) + 1
+            change[f + 1] = change.get(f + 1, 0) - 1
+        blocked = 0
+        for a in sorted(change):
+            blocked += change[a]
+            if a <= n + 1 and index.open_parent_count(a) != (a - 1) - blocked:
+                raise InternalConsistencyError(f"open parent count wrong at {a}")
 
 
 class NaiveLinkTree:
@@ -287,13 +303,7 @@ class NaiveLinkTree:
         self.fronts = {}
 
     def open_parent_count(self, x: int) -> int:
-        count = 0
-        fronts = self.fronts
-        for i in range(1, x):
-            f = fronts.get(i)
-            if f is None or f < x:
-                count += 1
-        return count
+        return sum(1 for i in range(1, x) if self.fronts.get(i, 0) < x)
 
     def parent(self, j: int) -> tuple[int, int]:
         if not 1 <= j <= self.n:

@@ -17,8 +17,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 DIRECT = 0
 COPY = 1
 
-FLAG_NAMES = {DIRECT: "direct", COPY: "copy"}
-
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

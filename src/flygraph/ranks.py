@@ -1,23 +1,30 @@
 """Order-statistic bookkeeping behind candidate enumeration.
 
-Child scans need two counting queries answered in logarithmic time over a
-state that stays sparse.  First, the open parent count of a position x: how
-many nodes below x could still end up as x's parent, that is, nodes whose
-scan front is unset or still below x.  Second, rank and select over the
-positions a scan may stop at, which excludes the skip set: nodes that carry
-a front of their own while nobody's front currently rests on them.
+Child scans need two counting queries in logarithmic time over a sparse
+state.  First, the open parent count of a position a: how many nodes below a
+could still be a's parent, that is, nodes whose scan front is unset or below
+a.  Second, rank and select over the positions a scan may stop at, which
+excludes the skip set: nodes that carry a front while nobody's front rests
+on them.
 
-Both are maintained incrementally from a single entry point,
-:meth:`CandidateIndex.on_front_advance`, called every time some node's front
-moves.  Membership bookkeeping is subtle in one respect: owner links are
-current-valued.  When a front moves past its old target, the old target
-loses its owner and joins the skip set (its own front exists by then, the
-scan machinery guarantees that before ever moving a front off a node).
+Fronts form disjoint increasing chains i -> front(i) -> ...  Each starts at a
+skip member and ends at the sentinel n+1 or at a pending node (owned, not yet
+fronted).  A chain blocks position a, through exactly one link, when its head
+lies below a and its end does not, so
+
+    open_parent_count(a) = (a-1) - |skip < a| + |pending < a|.
+
+Only the scan's recursion creates a pending node, and it fronts the node
+before returning, so at most one exists, and none at rest.  The index owns
+the fronts and keeps all three in step from
+:meth:`CandidateIndex.on_front_advance`.
 """
 
 from __future__ import annotations
 
-from sortedcontainers import SortedList, SortedSet
+from bisect import bisect_left, insort
+
+from sortedcontainers import SortedList
 
 from .errors import InternalConsistencyError
 
@@ -25,49 +32,40 @@ from .errors import InternalConsistencyError
 class CandidateIndex:
     """Sparse counting structures over scan fronts.
 
-    Storage grows with the number of fronted nodes, never with n.
+    Storage grows with the number of fronted nodes, never with n.  ``fronts``
+    maps each fronted node to its front; ``skip`` and ``pending`` are sorted.
     """
 
-    __slots__ = ("n", "_fronted", "_front_values", "_skip")
+    __slots__ = ("n", "fronts", "skip", "pending")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self._fronted = SortedSet()        # nodes whose front is set
-        self._front_values = SortedList()  # multiset of current front values
-        self._skip = SortedSet()           # fronted nodes with no current owner
+        self.fronts = {}
+        self.skip = SortedList()   # fronted nodes with no current owner
+        self.pending = []          # owned nodes whose first front is not set yet
 
     # -- counting queries --------------------------------------------------
 
     def open_parent_count(self, a: int) -> int:
-        """Number of i < a with front(i) unset or front(i) < a.
-
-        A front value of at least ``a`` held by a node below ``a`` blocks that
-        node from parenting ``a``.  Because a front always exceeds the node
-        carrying it, blocked(a) is the count of front values >= a minus the
-        count of fronted nodes >= a.
-        """
+        """Number of i < a with front(i) unset or front(i) < a."""
         if not 2 <= a <= self.n + 1:
             raise ValueError(f"position {a} outside [2, {self.n + 1}]")
-        values = self._front_values
-        beyond = len(values) - values.bisect_left(a)
-        fronted = self._fronted
-        fronted_high = len(fronted) - fronted.bisect_left(a)
-        return (a - 1) - (beyond - fronted_high)
+        return (a - 1) - self.skip.bisect_left(a) + bisect_left(self.pending, a)
 
     def unskipped_count(self, a: int, b: int) -> int:
         """Size of [a, b) with skip-set members removed."""
         if a > b:
             raise ValueError(f"empty-range bounds reversed: [{a}, {b})")
-        skip = self._skip
+        skip = self.skip
         return (b - a) - (skip.bisect_left(b) - skip.bisect_left(a))
 
     def unskipped_rank(self, a: int) -> int:
         """Number of positions in [1, a) outside the skip set."""
         if not 1 <= a <= self.n + 1:
             raise ValueError(f"position {a} outside [1, {self.n + 1}]")
-        return (a - 1) - self._skip.bisect_left(a)
+        return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_select(self, s: int) -> int:
         """The (s+1)-th smallest position in [1, n+1] outside the skip set.
@@ -77,7 +75,7 @@ class CandidateIndex:
         members the previous candidate jumped over, so the loop runs once
         plus once per skip member between the start and the answer.
         """
-        skip = self._skip
+        skip = self.skip
         total = (self.n + 1) - len(skip)
         if not 0 <= s < total:
             raise IndexError(f"select rank {s} outside [0, {total})")
@@ -100,45 +98,51 @@ class CandidateIndex:
     def on_front_advance(self, i: int, old, new: int, has_owner: bool) -> None:
         """Record front(i) moving from ``old`` (possibly None) to ``new``.
 
-        ``has_owner`` says whether something currently fronts to i; it is
-        consulted only when i receives its first front.  Effects:
-
-        * first front: i joins the fronted set, and the skip set unless owned;
-        * any advance: the value multiset swaps old for new;
-        * the old target (a real node) lost its owner and joins the skip set;
-        * the new target (a real node) gained an owner and leaves it.
+        ``has_owner`` says whether something fronts to i; it matters only at
+        i's first front, when i leaves the pending set if owned and joins the
+        skip set otherwise.  The old target (a real node) loses its owner and
+        joins the skip set; the new one gains an owner and leaves it, or turns
+        pending while it has no front of its own.
         """
-        if new is None or (old is not None and new <= old):
+        fronts = self.fronts
+        if new is None or (old is not None and new <= old) or fronts.get(i) != old:
             raise InternalConsistencyError(f"front of {i} may not move {old} -> {new}")
+        fronts[i] = new
+        n = self.n
         if old is None:
-            self._fronted.add(i)
-            self._front_values.add(new)
-            if not has_owner:
-                self._skip.add(i)
-        else:
-            self._front_values.remove(old)
-            self._front_values.add(new)
-            if old <= self.n:
-                self._skip.add(old)
-        if new <= self.n:
-            self._skip.discard(new)
+            if has_owner != (i in self.pending):
+                raise InternalConsistencyError(f"owner of {i} out of sync with pending set")
+            if has_owner:
+                self.pending.remove(i)
+            else:
+                self.skip.add(i)
+        elif old <= n:
+            if old in fronts:
+                self.skip.add(old)
+            else:
+                self.pending.remove(old)
+        if new <= n:
+            if new in fronts:
+                self.skip.remove(new)
+            else:
+                insort(self.pending, new)
 
     # -- introspection (tests, resource accounting) ---------------------------
 
     @property
     def fronted_nodes(self) -> tuple:
-        return tuple(self._fronted)
+        return tuple(sorted(self.fronts))
 
     @property
     def front_values(self) -> tuple:
-        return tuple(self._front_values)
+        return tuple(sorted(self.fronts.values()))
 
     @property
     def skip_members(self) -> tuple:
-        return tuple(self._skip)
+        return tuple(self.skip)
 
     def in_skip_set(self, i: int) -> bool:
-        return i in self._skip
+        return i in self.skip
 
     def total_cells(self) -> int:
-        return len(self._fronted) + len(self._front_values) + len(self._skip)
+        return len(self.fronts) + len(self.skip) + len(self.pending)

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from scipy.stats import chi2 as _chi2
-from scipy.stats import chi2_contingency as _chi2_contingency
-
 from .batch import GraphSample
 from .errors import InternalConsistencyError
 
@@ -76,7 +73,8 @@ def chi_square_gof(counts: dict, expected_law: dict, trials: int) -> float:
         expected = float(sum(expected_law[k] for k in group)) * trials
         observed = sum(counts.get(k, 0) for k in group)
         stat += (observed - expected) ** 2 / expected
-    return float(_chi2.sf(stat, len(groups) - 1))
+    from scipy.stats import chi2  # deferred: scipy dominates import time
+    return float(chi2.sf(stat, len(groups) - 1))
 
 
 def chi_square_two_sample(counts_a: dict, counts_b: dict) -> float:
@@ -97,7 +95,8 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict) -> float:
         raise ValueError("not enough mass for more than one cell")
     row_a = [sum(counts_a.get(k, 0) for k in g) for g in groups]
     row_b = [sum(counts_b.get(k, 0) for k in g) for g in groups]
-    result = _chi2_contingency([row_a, row_b], correction=False)
+    from scipy.stats import chi2_contingency
+    result = chi2_contingency([row_a, row_b], correction=False)
     return float(result.pvalue)
 
 
@@ -154,6 +153,29 @@ def tree_metrics(sample: GraphSample) -> dict:
             "depth": depth, "fan_out": fan_out}
 
 
+def schedule_queries(gen, schedule: str = "sweep"):
+    """Yield (node, answer) for next_neighbor queries until every stream ends.
+
+    ``sweep`` reads one node's stream to its end marker n+1 before the next;
+    ``roundrobin`` cycles one query per still-active node, in node order.
+    """
+    if schedule not in ("sweep", "roundrobin"):
+        raise ValueError(f"unknown schedule {schedule!r}")
+    end = gen.n + 1
+    active = range(1, end)
+    while active:
+        still = []
+        for j in active:
+            r = gen.next_neighbor(j)
+            yield j, r
+            while schedule == "sweep" and r != end:
+                r = gen.next_neighbor(j)
+                yield j, r
+            if r != end:
+                still.append(j)
+        active = still
+
+
 def reconstruct_via_sweep(gen, model: str, schedule: str = "sweep") -> GraphSample:
     """Replay a neighbor stream into a full graph, enforcing its contract.
 
@@ -167,41 +189,22 @@ def reconstruct_via_sweep(gen, model: str, schedule: str = "sweep") -> GraphSamp
     parents = [0] * (n + 1)
     children = {j: [] for j in range(1, n + 1)}
     answered = [0] * (n + 1)
-    limit = n + 1
-
-    def feed(j, value):
+    for j, value in schedule_queries(gen, schedule):
         answered[j] += 1
-        if answered[j] > limit:
+        if answered[j] > n + 1:
             raise InternalConsistencyError(f"node {j} never exhausted")
         if answered[j] == 1:
-            if j == 1:
-                if value != 1:
-                    raise InternalConsistencyError(f"node 1 parent answer {value}")
-            elif not 1 <= value < j:
+            if j == 1 and value != 1:
+                raise InternalConsistencyError(f"node 1 parent answer {value}")
+            if j > 1 and not 1 <= value < j:
                 raise InternalConsistencyError(f"parent {value} of {j} not earlier")
             parents[j] = value
-            return True
-        prev = children[j][-1] if children[j] else j
-        if value == n + 1:
-            return False
-        if not prev < value <= n:
-            raise InternalConsistencyError(
-                f"child answer {value} for {j} after {prev}")
-        children[j].append(value)
-        return True
-
-    if schedule == "sweep":
-        for j in range(1, n + 1):
-            while feed(j, gen.next_neighbor(j)):
-                pass
-    elif schedule == "roundrobin":
-        active = set(range(1, n + 1))
-        while active:
-            for j in range(1, n + 1):
-                if j in active and not feed(j, gen.next_neighbor(j)):
-                    active.discard(j)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
+        elif value != n + 1:
+            prev = children[j][-1] if children[j] else j
+            if not prev < value <= n:
+                raise InternalConsistencyError(
+                    f"child answer {value} for {j} after {prev}")
+            children[j].append(value)
 
     for j in range(1, n + 1):
         expected = [c for c in range(2, n + 1) if parents[c] == j]

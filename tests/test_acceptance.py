@@ -11,11 +11,12 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from flygraph import (BAGenerator, BitSource, LinkTree, NaiveLinkTree,
-                      RRTGenerator, batch_ba, batch_rrt, chi_square_gof,
-                      chi_square_two_sample, degree_stats, empirical_law,
-                      enumerate_exact, reconstruct_via_sweep,
-                      sample_candidate_rank, tree_metrics, tv_distance)
+from flygraph import (BAGenerator, BitSource, InternalConsistencyError,
+                      LinkTree, NaiveLinkTree, RRTGenerator, batch_ba,
+                      batch_rrt, chi_square_gof, chi_square_two_sample,
+                      degree_stats, empirical_law, enumerate_exact,
+                      reconstruct_via_sweep, sample_candidate_rank,
+                      tree_metrics, tv_distance)
 
 TV_LIMIT = 0.015
 P_LIMIT = 0.001
@@ -149,6 +150,7 @@ def _fuzz_one(i, violations):
             if not prev < r <= n:
                 note(f"child answer {r} after {prev} for {j}")
         history.append(r)
+    check_tree(gen.tree, note)
 
     # Drain everything and check absorption costs no randomness.
     for j in range(1, n + 1):
@@ -180,23 +182,14 @@ def _fuzz_one(i, violations):
             note(f"children of {j} inconsistent: {kids} vs {expected}")
 
     # Underlying index bookkeeping must mirror the committed maps.
-    tree = gen.tree
-    fronts = tree.fronts.raw
-    owners = tree.front_owner.raw
-    if set(tree.index.fronted_nodes) != set(fronts):
-        note("fronted set out of sync")
-    if sorted(tree.index.front_values) != sorted(fronts.values()):
-        note("front value multiset out of sync")
-    if set(tree.index.skip_members) != {x for x in fronts if x not in owners}:
-        note("skip set out of sync")
-    for target, mover in owners.items():
-        if fronts.get(mover) != target:
-            note("owner link stale")
-    for a in (2, max(2, n // 2), n + 1):
-        brute = sum(1 for x in range(1, a)
-                    if fronts.get(x) is None or fronts[x] < a)
-        if tree.index.open_parent_count(a) != brute:
-            note(f"open parent count wrong at {a}")
+    check_tree(gen.tree, note)
+
+
+def check_tree(tree, note):
+    try:
+        tree.check_invariants()
+    except InternalConsistencyError as exc:
+        note(f"index out of sync: {exc}")
 
 
 def test_criterion_5_consistency_fuzz(capsys):

@@ -66,6 +66,74 @@ class TestSampleCandidateRank:
             assert abs(counts[y] - expected) < 4.5 * sigma
 
 
+def binary_search_candidate_rank(source, open_count, t, lattice_bits):
+    """The stop slot found by binary search over the slots, as first written.
+
+    Reference for the closed form in :func:`sample_candidate_rank`, which must
+    return the same slot after consuming the same bits.
+    """
+    if t == 1 or open_count == 1:
+        return 0
+    k = lattice_bits
+    num = source.bits(k)
+    width = k
+    while True:
+        lo, hi = 0, t - 1
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if (mid << width) <= num * (open_count + mid - 1):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo == t - 1:
+            return lo
+        if (num + 1) * (open_count + lo) <= (lo + 1) << width:
+            return lo
+        num = (num << k) | source.bits(k)
+        width += k
+
+
+class ScriptedSource(BitSource):
+    """Bit source whose first draw returns a chosen value."""
+
+    def __init__(self, first, seed):
+        super().__init__(seed)
+        self.first = first
+
+    def bits(self, k):
+        if self.first is None:
+            return super().bits(k)
+        out, self.first = self.first, None
+        self.bits_consumed += k
+        return out
+
+
+class TestClosedFormSlot:
+    @pytest.mark.parametrize("lattice_bits", [4, 5, 6, 7, 8])
+    def test_every_first_draw_matches_binary_search(self, lattice_bits):
+        for open_count in range(1, 13):
+            for t in range(1, 13):
+                for first in range(1 << lattice_bits):
+                    seed = (open_count * 13 + t) * 257 + first
+                    fast = ScriptedSource(first, seed)
+                    slow = ScriptedSource(first, seed)
+                    got = sample_candidate_rank(fast, open_count, t, lattice_bits)
+                    want = binary_search_candidate_rank(slow, open_count, t, lattice_bits)
+                    assert (got, fast.bits_consumed) == (want, slow.bits_consumed), \
+                        (open_count, t, first)
+
+    def test_random_wide_draws_match_binary_search(self):
+        rng = random.Random(90)
+        for case in range(3_000):
+            open_count = rng.randrange(1, 1 << rng.choice((4, 20, 30)))
+            t = rng.randrange(1, 1 << rng.choice((4, 12, 20)))
+            fast, slow = BitSource(case), BitSource(case)
+            got = sample_candidate_rank(fast, open_count, t, 90)
+            want = binary_search_candidate_rank(slow, open_count, t, 90)
+            assert (got, fast.bits_consumed) == (want, slow.bits_consumed), \
+                (open_count, t, case)
+
+
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,7 +162,7 @@ class TestConstruction:
 
     def test_probe_ahead_of_front_rejected(self):
         t = LinkTree(8, seed=3)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             t.next_child_from(2, 4)
 
 
@@ -215,6 +283,7 @@ def brute_open_parent_count(tree, a):
 
 
 def check_invariants(tree):
+    tree.check_invariants()
     n = tree.n
     fronted = {j for j in range(1, n + 1) if tree.fronts.get(j) is not None}
     assert set(tree.index.fronted_nodes) == fronted

@@ -1,0 +1,55 @@
+"""Pinned transcript digests: the same seeds keep giving the same answers.
+
+Each digest hashes every query's node, answer and random-bit cost, so a
+change to the query path that moves a single answer or a single bit shows
+here, even when every law test still passes.  The digests were recorded
+before the candidate index kept only its skip set and before the stop slot
+came in closed form; both changes left them as they were.
+
+A change that keeps the laws but spends bits differently, such as the
+cheaper stop-rank sampler of ROADMAP item 3, changes these digests by
+design.  It then records the new digests here and says so in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from flygraph import BAGenerator, RRTGenerator
+
+
+def digest(gen, schedule: str, seed: int) -> str:
+    """Hash of a run: every stream read to its end marker n+1 node by node
+    (``sweep``), or next_neighbor on 2,000 uniform random nodes (``random``)."""
+    n = gen.n
+    h = hashlib.blake2b(digest_size=16)
+
+    def ask(j):
+        spent = gen.bits_consumed
+        answer = gen.next_neighbor(j)
+        h.update(f"{j} {answer} {gen.bits_consumed - spent};".encode())
+        return answer
+
+    if schedule == "sweep":
+        for j in range(1, n + 1):
+            while ask(j) != n + 1:
+                pass
+    else:
+        rng = random.Random(seed)
+        for _ in range(2_000):
+            ask(rng.randrange(1, n + 1))
+    return h.hexdigest()
+
+
+PINNED = [
+    ("ba", 300, 1, "sweep", "dda56595d1dd65e22d87215f67e2fbad"),
+    ("ba", 10**6, 2, "random", "ca787cb6edab13d36ec34a07b72215f3"),
+    ("rrt", 10**6, 3, "random", "122c94807740f687c54e3f42947729a5"),
+]
+
+
+@pytest.mark.parametrize("model,n,seed,schedule,expected", PINNED)
+def test_transcript_digest_pinned(model, n, seed, schedule, expected):
+    gen = (BAGenerator if model == "ba" else RRTGenerator)(n, seed=seed)
+    assert digest(gen, schedule, seed) == expected
