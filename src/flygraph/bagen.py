@@ -27,8 +27,8 @@ from .randomness import COPY, DIRECT
 class BAGenerator:
     """Neighbor-stream sampler for preferential attachment on n nodes."""
 
-    def __init__(self, n: int, seed: int = 0, lattice_exponent: float = 3.0):
-        self.tree = LinkTree(n, seed, lattice_exponent)
+    def __init__(self, n: int, seed: int = 0):
+        self.tree = LinkTree(n, seed)
         self.n = n
         self._heaps = {}
 

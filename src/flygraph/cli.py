@@ -28,6 +28,7 @@ from .stats import (chi_square_gof, degree_stats, empirical_law,
                     reconstruct_via_sweep, schedule_queries, tree_metrics,
                     tv_distance)
 
+GENERATORS = {"ba": BAGenerator, "z": BAGenerator, "rrt": RRTGenerator}
 TV_THRESHOLD = 0.015
 P_THRESHOLD = 0.001
 
@@ -37,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _make_generator(model: str, n: int, seed: int, exponent: float):
-    if model in ("ba", "z"):
-        return BAGenerator(n, seed, exponent)
-    return RRTGenerator(n, seed, exponent)
 
 
 def _read_queries_file(path: str, n: int):
@@ -70,7 +65,7 @@ def _read_queries_file(path: str, n: int):
 
 
 def _cmd_sample(args) -> int:
-    gen = _make_generator(args.model, args.n, args.seed, args.toss_exponent)
+    gen = GENERATORS[args.model](args.n, args.seed)
     if args.schedule == "file":
         if not args.queries_file:
             sys.stderr.write("schedule 'file' requires --queries-file\n")
@@ -110,8 +105,7 @@ def _cmd_compare(args) -> int:
     exact = enumerate_exact(args.model, args.n)
     counts = {}
     for i in range(args.trials):
-        gen = _make_generator(args.model, args.n, args.seed + i,
-                              args.toss_exponent)
+        gen = GENERATORS[args.model](args.n, args.seed + i)
         outcome = reconstruct_via_sweep(gen, args.model, args.schedule).outcome()
         counts[outcome] = counts.get(outcome, 0) + 1
     tv = float(tv_distance(empirical_law(counts, args.trials), exact))
@@ -159,7 +153,7 @@ def _cmd_stats(args) -> int:
         except ValueError:
             chi2_p = None
 
-    gen = _make_generator(args.model, args.n, args.seed, args.toss_exponent)
+    gen = GENERATORS[args.model](args.n, args.seed)
     rng = random.Random(args.seed)
     queries = min(args.otf_queries, 3 * args.n + 3)
     start = time.perf_counter()
@@ -192,7 +186,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    gen = _make_generator(args.model, args.n, args.seed, args.toss_exponent)
+    gen = GENERATORS[args.model](args.n, args.seed)
     rng = random.Random(args.seed)
     nodes = [rng.randrange(1, args.n + 1) for _ in range(args.queries)]
     start = time.perf_counter()
@@ -216,7 +210,6 @@ def _add_common(sub, trials=False, seeds=False):
     sub.add_argument("--model", choices=("ba", "z", "rrt"), default="ba")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--toss-exponent", type=float, default=3.0)
     sub.add_argument("--output", choices=("text", "json"), default="text")
     if trials:
         sub.add_argument("--trials", type=int, default=20000)

@@ -25,7 +25,6 @@ are rejected and the scan resumes above them).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
 from .errors import InternalConsistencyError
@@ -35,21 +34,20 @@ from .sparse import ChildSets
 
 
 def sample_candidate_rank(source: BitSource, open_count: int, t: int,
-                          lattice_bits: int = 48) -> int:
+                          first_bits: int | None = None) -> int:
     """Pick which of ``t`` slots ends one scan step, exactly.
 
     Slot y < t-1 stops the scan at the y-th open candidate of the region;
-    slot t-1 runs it off the end.  The cumulative law is
-
-        C(0) = 0,   C(y) = y / (open_count + y - 1),   C(t) = 1,
-
-    and the answer is the y with C(y) <= H < C(y+1) for a uniform real H,
-    realized lazily: draw ``lattice_bits`` bits for a dyadic interval
-    [num, num+1) / 2**width around H and refine with further bits only while
-    the interval straddles a cell boundary.  C(y) <= num / 2**width rearranges
-    to y <= num (open_count-1) / (2**width - num), so the slot of the lower
-    end comes in closed form.  All arithmetic is on integers, so the output
-    law is exact for every parameter choice.
+    slot t-1 runs it off the end.  With m = open_count - 1 the cumulative law
+    is C(y) = y / (m + y) for y < t and C(t) = 1, and the answer is the y with
+    C(y) <= H < C(y+1) for a uniform real H, realized lazily: a dyadic
+    interval [num, num+1) / 2**width around H is refined only while it
+    straddles a cell boundary, and the slot of its lower end is
+    num m // (2**width - num) in closed form.  Widths follow the arguments:
+    (m+t).bit_length() + 2 bits first (``first_bits`` overrides that), then
+    enough to resolve cell lo, of size m / ((m+lo)(m+lo+1)), in one more draw.
+    Integer arithmetic, and reading the slot only once the interval lies in
+    one cell, keep the law exact for every width schedule.
     """
     if open_count < 1:
         raise ValueError("open candidate count must be positive")
@@ -57,15 +55,16 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
         raise ValueError("slot count must be positive")
     if t == 1 or open_count == 1:
         return 0
-    k = lattice_bits
-    num = source.bits(k)
-    width = k
+    m = open_count - 1
+    width = (m + t).bit_length() + 2 if first_bits is None else first_bits
+    num = source.bits(width)
     while True:
-        lo = num * (open_count - 1) // ((1 << width) - num)
+        lo = num * m // ((1 << width) - num)
         if lo >= t - 1:
             return t - 1
         if (num + 1) * (open_count + lo) <= (lo + 1) << width:
             return lo
+        k = max(1, ((m + lo + 1) ** 2 // m).bit_length() + 2 - width)
         num = (num << k) | source.bits(k)
         width += k
 
@@ -73,18 +72,14 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
 class LinkTree:
     """On-demand sampler of the parent-link tree on nodes 1..n."""
 
-    __slots__ = ("n", "source", "lattice_bits", "index", "children", "links", "flags",
+    __slots__ = ("n", "source", "index", "children", "links", "flags",
                  "fronts", "front_owner", "scan_loop_max", "_depth", "max_recursion_depth")
 
-    def __init__(self, n: int, seed: int = 0, lattice_exponent: float = 3.0,
-                 source: BitSource | None = None):
+    def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
         if n < 1:
             raise ValueError("n must be positive")
-        if lattice_exponent <= 1:
-            raise ValueError("lattice exponent must exceed 1")
         self.n = n
         self.source = source if source is not None else BitSource(seed)
-        self.lattice_bits = max(4, math.ceil(lattice_exponent * math.log2(max(n, 2))))
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
         self.links = {}
@@ -104,7 +99,8 @@ class LinkTree:
         those below j whose front has not passed j.  Marginally, over the
         whole run, that is uniform on [1, j-1].  Rejection sampling keeps the
         draw exact; the open-parent pool is never empty while j's link is
-        undecided, so it terminates with probability one.
+        undecided, so it terminates with probability one.  Rejection runs
+        too long for the index's open count recheck the whole state.
         """
         if not 1 <= j <= self.n:
             raise ValueError(f"node {j} outside [1, {self.n}]")
@@ -115,15 +111,20 @@ class LinkTree:
             return link, self.flags[j]
         get_front = self.fronts.get
         uniform = self.source.uniform_int
-        attempts = 0
+        attempts, check_at = 0, 64
         while True:
             cand = 1 + uniform(j - 1)
             f = get_front(cand)
             if f is None or f < j:
                 break
             attempts += 1
-            if attempts == 64 and self.index.open_parent_count(j) == 0:
-                raise InternalConsistencyError(f"no open parent left for {j}")
+            if attempts == check_at:
+                check_at *= 2
+                count = self.index.open_parent_count(j)
+                if count == 0:
+                    raise InternalConsistencyError(f"no open parent left for {j}")
+                if attempts * count >= 32 * (j - 1):
+                    self.check_invariants()
         flag = self.source.uniform_flag()
         self.links[j] = cand
         self.flags[j] = flag
@@ -153,35 +154,40 @@ class LinkTree:
         links = self.links
         # One bisection at a gives both counts of a step; the one at b serves all.
         kb = skip.bisect_left(b)
-        iters = 0
+        # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
+        limit = len(links) + 1
+        steps = 0
         while True:
-            iters += 1
-            if iters > self.scan_loop_max:
-                self.scan_loop_max = iters
+            steps += 1
+            if steps > limit:
+                raise InternalConsistencyError(f"scan of {j} passed {limit} steps")
             ka = skip.bisect_left(a)
             s = (b - a) - (kb - ka)
             if s == 0:
                 h = 0
             else:
                 open_count = (a - 1) - ka + bisect_left(pending, a)
-                h = sample_candidate_rank(self.source, open_count, s + 1,
-                                          self.lattice_bits)
+                h = sample_candidate_rank(self.source, open_count, s + 1)
             if h == s:
-                self._advance_front(j, front, b)
-                return b
+                x = b
+                break
             # The (h+1)-th unskipped position at or after a: the least
             # fixpoint of x = a + h + |skip in [a, x]|, iterated up from a + h.
             r = a + h - ka
             x = a + h
             while (x2 := r + skip.bisect_right(x)) != x:
                 x = x2
+            if x >= b:
+                raise InternalConsistencyError(f"scan of {j} selected {x} >= {b}")
             if x not in links:
                 links[x] = j
                 self.flags[x] = self.source.uniform_flag()
                 self.children.insert(j, x)
-                self._advance_front(j, front, x)
-                return x
+                break
             a = x + 1
+        self.scan_loop_max = max(self.scan_loop_max, steps)
+        self._advance_front(j, front, x)
+        return x
 
     def next_child_from(self, j: int, k: int) -> int:
         """Least child of j strictly above k, without re-randomizing below.
@@ -362,8 +368,8 @@ class RRTGenerator:
     consulted, so the produced tree is exactly the plain link tree.
     """
 
-    def __init__(self, n: int, seed: int = 0, lattice_exponent: float = 3.0):
-        self.tree = LinkTree(n, seed, lattice_exponent)
+    def __init__(self, n: int, seed: int = 0):
+        self.tree = LinkTree(n, seed)
         self.n = n
         self._cursor = {}
 

@@ -77,9 +77,7 @@ class BitSource:
         have = 1
         x = 0
         while True:
-            k = 0
-            while (have << k) < m:
-                k += 1
+            k = ((m - 1) // have).bit_length()   # least k with have << k >= m
             x = (x << k) | self.bits(k)
             have <<= k
             if x < m:

@@ -1,11 +1,15 @@
 """Lazy link tree: exact stopping law, invariants, agreement with the naive twin."""
 
+import math
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from scipy.stats import chi2
+from sortedcontainers import SortedList
 
 from flygraph import (BitSource, InternalConsistencyError, LinkTree,
                       NaiveLinkTree, RRTGenerator, chi_square_gof,
@@ -66,17 +70,18 @@ class TestSampleCandidateRank:
             assert abs(counts[y] - expected) < 4.5 * sigma
 
 
-def binary_search_candidate_rank(source, open_count, t, lattice_bits):
-    """The stop slot found by binary search over the slots, as first written.
+def binary_search_candidate_rank(source, open_count, t, first_bits=None):
+    """The stop slot found by binary search over the slots.
 
     Reference for the closed form in :func:`sample_candidate_rank`, which must
-    return the same slot after consuming the same bits.
+    return the same slot after consuming the same bits; the widths of its
+    draws follow the same schedule.
     """
     if t == 1 or open_count == 1:
         return 0
-    k = lattice_bits
-    num = source.bits(k)
-    width = k
+    m = open_count - 1
+    width = (m + t).bit_length() + 2 if first_bits is None else first_bits
+    num = source.bits(width)
     while True:
         lo, hi = 0, t - 1
         while lo < hi:
@@ -89,6 +94,7 @@ def binary_search_candidate_rank(source, open_count, t, lattice_bits):
             return lo
         if (num + 1) * (open_count + lo) <= (lo + 1) << width:
             return lo
+        k = max(1, ((m + lo + 1) ** 2 // m).bit_length() + 2 - width)
         num = (num << k) | source.bits(k)
         width += k
 
@@ -133,20 +139,95 @@ class TestClosedFormSlot:
             assert (got, fast.bits_consumed) == (want, slow.bits_consumed), \
                 (open_count, t, case)
 
+    def test_random_default_widths_match_binary_search(self):
+        rng = random.Random(91)
+        for case in range(3_000):
+            open_count = rng.randrange(1, 1 << rng.choice((4, 20, 30)))
+            t = rng.randrange(1, 1 << rng.choice((4, 12, 20)))
+            fast, slow = BitSource(case), BitSource(case)
+            got = sample_candidate_rank(fast, open_count, t)
+            want = binary_search_candidate_rank(slow, open_count, t)
+            assert (got, fast.bits_consumed) == (want, slow.bits_consumed), \
+                (open_count, t, case)
+
+
+class OutOfBits(Exception):
+    """Raised by :class:`ReplaySource` once its scripted draws run out."""
+
+
+class ReplaySource(BitSource):
+    """Bit source that replays scripted draws, then asks for the next width."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def bits(self, k):
+        value = next(self.draws, None)
+        if value is None:
+            raise OutOfBits(k)
+        self.bits_consumed += k
+        return value
+
+
+class TestExactLaw:
+    """The default width schedule, walked over every outcome of every draw."""
+
+    CAP = 96   # paths still straddling a boundary after this many bits stay open
+
+    def walk(self, open_count, t):
+        """Resolved mass per slot, open mass, and expected bits, as Fractions.
+
+        Expected bits count each open path at the bits it has spent so far.
+        """
+        resolved = [Fraction(0)] * t
+        unresolved = Fraction(0)
+        expected_bits = Fraction(0)
+        stack = [()]
+        while stack:
+            draws = stack.pop()
+            src = ReplaySource(draws)
+            try:
+                slot = sample_candidate_rank(src, open_count, t)
+            except OutOfBits as need:
+                k = need.args[0]
+                assert k <= 12, f"a {k}-bit draw is too wide to walk"
+                spent = src.bits_consumed
+                if spent + k > self.CAP:
+                    mass = Fraction(1, 1 << spent)
+                    unresolved += mass
+                    expected_bits += mass * spent
+                else:
+                    stack.extend(draws + (v,) for v in range(1 << k))
+                continue
+            mass = Fraction(1, 1 << src.bits_consumed)
+            resolved[slot] += mass
+            expected_bits += mass * src.bits_consumed
+        return resolved, unresolved, expected_bits
+
+    def test_law_and_bit_cost_for_small_arguments(self):
+        violations = []
+        worst_excess = 0.0
+        for open_count in range(1, 9):
+            for t in range(1, 9):
+                law = stop_law(open_count, t)
+                resolved, unresolved, expected_bits = self.walk(open_count, t)
+                assert unresolved < Fraction(1, 1 << 64), (open_count, t)
+                for y in range(t):
+                    if not resolved[y] <= law[y] <= resolved[y] + unresolved:
+                        violations.append((open_count, t, y))
+                entropy = -sum(float(p) * math.log2(p) for p in law if p)
+                worst_excess = max(worst_excess, float(expected_bits) - entropy)
+        assert violations == []
+        assert worst_excess <= 6, worst_excess
+
 
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             LinkTree(0)
         with pytest.raises(ValueError):
-            LinkTree(5, lattice_exponent=1.0)
-        with pytest.raises(ValueError):
             NaiveLinkTree(0)
-
-    def test_lattice_width_grows_with_n(self):
-        assert LinkTree(2).lattice_bits == 4
-        assert LinkTree(1 << 20).lattice_bits == 60
-        assert LinkTree(1 << 10, lattice_exponent=2.0).lattice_bits == 20
 
     def test_node_range_checks(self):
         t = LinkTree(5)
@@ -452,6 +533,57 @@ def test_naive_twin_matches_exact_laws():
         head_counts[tuple(heads[j] for j in range(2, n + 1))] += 1
     assert chi_square_gof(link_counts, enumerate_exact("rrt", n), draws) > 1e-6
     assert chi_square_gof(head_counts, enumerate_exact("ba", n), draws) > 1e-6
+
+
+@contextmanager
+def hang_fails(seconds=10):
+    """Turn a query that never returns into a test failure."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer or error within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class MiscountingSkip(SortedList):
+    """Skip set whose bisect_right is off by ``shift``."""
+
+    shift = 0
+
+    def bisect_right(self, value):
+        return max(0, super().bisect_right(value) + self.shift)
+
+
+class TestBrokenState:
+    """A contradiction inside the tree raises instead of spinning or answering."""
+
+    @pytest.mark.parametrize("shift,error", [(-1, "passed"), (1, "selected")])
+    def test_scan_over_miscounting_skip_set_raises(self, shift, error):
+        # One short, the select walks back below the scan start, which used
+        # to loop forever; one over, it lands at or past the next child.
+        tree = LinkTree(30, seed=0)
+        for j in range(1, 10):
+            tree.next_child(j)
+        skip = MiscountingSkip(tree.index.skip)
+        skip.shift = shift
+        tree.index.skip = skip
+        with hang_fails(), pytest.raises(InternalConsistencyError, match=error):
+            for j in range(1, 31):
+                while tree.next_child(j) <= 30:
+                    pass
+
+    def test_parent_over_stale_skip_set_raises(self):
+        # A front written behind the index's back leaves the skip set short
+        # of a fronted node: the index still counts node 1 as an open parent
+        # of 2, while its front says otherwise, so every draw is rejected.
+        tree = LinkTree(3, seed=0)
+        tree.fronts[1] = 4
+        with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):
+            tree.parent(2)
 
 
 def test_determinism_bit_for_bit():

@@ -54,6 +54,34 @@ def test_uniform_int_trivial_and_power_of_two_costs():
     assert src.bits_consumed == 5
 
 
+def loop_width_uniform_int(src, m):
+    """uniform_int with its rejection width found by counting up, as first written."""
+    if m == 1:
+        return 0
+    have = 1
+    x = 0
+    while True:
+        k = 0
+        while (have << k) < m:
+            k += 1
+        x = (x << k) | src.bits(k)
+        have <<= k
+        if x < m:
+            return x
+        have -= m
+        x -= m
+
+
+def test_uniform_int_matches_loop_width():
+    sizes = list(range(1, 400)) + [1 << e for e in range(9, 70, 3)]
+    sizes += [(1 << e) + d for e in (10, 31, 64) for d in (-1, 1)]
+    for m in sizes:
+        fast, slow = BitSource(m), BitSource(m)
+        for _ in range(50):
+            assert fast.uniform_int(m) == loop_width_uniform_int(slow, m), m
+            assert fast.bits_consumed == slow.bits_consumed, m
+
+
 def test_determinism_and_independence():
     a = BitSource(99)
     b = BitSource(99)
