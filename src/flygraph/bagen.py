@@ -45,25 +45,29 @@ class BAGenerator:
         """Next neighbor of j: attachment target first, then children, then n+1."""
         if not 1 <= j <= self.n:
             raise ValueError(f"node {j} outside [1, {self.n}]")
+        n, tree = self.n, self.tree
         heap = self._heaps.get(j)
         if heap is None:
-            heap = [self.n + 1]
-            self._heaps[j] = heap
-            target = self.ba_parent(j)
-            heapq.heappush(heap, self.tree.next_child_typed(j, j, DIRECT))
+            # The key outlives its heap's last head, so the target is answered once.
+            heap = self._heaps[j] = []
+            answer = self.ba_parent(j)
+            heads = [tree.next_child_typed(j, j, DIRECT)]
             if j == 1:
-                heapq.heappush(heap, self.tree.next_child_typed(1, 1, COPY))
-            return target
-        if heap[0] > self.n:
-            return self.n + 1
-        r = heapq.heappop(heap)
-        if self.tree.flags[r] == DIRECT:
-            heapq.heappush(heap, self.tree.next_child_typed(j, r, DIRECT))
+                heads.append(tree.next_child_typed(1, 1, COPY))
+        elif not heap:
+            return n + 1
         else:
-            q = self.tree.links[r]
-            heapq.heappush(heap, self.tree.next_child_typed(q, r, COPY))
-        heapq.heappush(heap, self.tree.next_child_typed(r, r, COPY))
-        return r
+            answer = heapq.heappop(heap)
+            link = tree.links[answer]
+            if link & 1 == DIRECT:
+                head = tree.next_child_typed(j, answer, DIRECT)
+            else:
+                head = tree.next_child_typed(link >> 1, answer, COPY)
+            heads = (head, tree.next_child_typed(answer, answer, COPY))
+        for x in heads:
+            if x <= n:
+                heapq.heappush(heap, x)
+        return answer
 
     @property
     def bits_consumed(self) -> int:

@@ -5,7 +5,7 @@ Subcommands:
 * ``sample``   drive the on-the-fly sampler and print each query and answer.
 * ``batch``    sample one whole graph up front and print it.
 * ``compare``  empirical law of full sweeps against the exact law (small n).
-* ``stats``    summary statistics over many batch samples, plus sampler cost.
+* ``stats``    summary statistics over many batch samples.
 * ``bench``    timing and resource figures for the on-the-fly sampler (JSON).
 
 Text output is deterministic for fixed arguments; wall-clock figures appear
@@ -153,16 +153,6 @@ def _cmd_stats(args) -> int:
         except ValueError:
             chi2_p = None
 
-    gen = GENERATORS[args.model](args.n, args.seed)
-    rng = random.Random(args.seed)
-    queries = min(args.otf_queries, 3 * args.n + 3)
-    start = time.perf_counter()
-    for _ in range(queries):
-        gen.next_neighbor(rng.randrange(1, args.n + 1))
-    elapsed = time.perf_counter() - start
-    bits_per_query = gen.bits_consumed / queries
-    time_per_query_ns = elapsed / queries * 1e9
-
     height_mean = sum(heights) / len(heights)
     if args.output == "json":
         print(json.dumps({
@@ -170,8 +160,6 @@ def _cmd_stats(args) -> int:
             "tv": tv, "chi2_p": chi2_p,
             "degree_hist": {str(k): degree_hist[k] for k in sorted(degree_hist)},
             "height": height_mean, "max_indeg": max_fan_out,
-            "bits_per_query_mean": bits_per_query,
-            "time_per_query_ns": time_per_query_ns,
         }))
     else:
         print(f"model={args.model} n={args.n} seeds={args.seeds}")
@@ -181,7 +169,6 @@ def _cmd_stats(args) -> int:
         if tv is not None:
             chi_text = "n/a" if chi2_p is None else f"{chi2_p:.6f}"
             print(f"tv={tv:.6f} chi2_p={chi_text}")
-        print(f"bits_per_query_mean={bits_per_query:.3f}")
     return 0
 
 
@@ -242,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = subs.add_parser("stats", help="summary statistics")
     _add_common(p_stats, seeds=True)
-    p_stats.add_argument("--otf-queries", type=int, default=2000)
     p_stats.set_defaults(func=_cmd_stats)
 
     p_bench = subs.add_parser("bench", help="sampler cost figures (JSON)")
@@ -258,10 +244,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    for name in ("n", "trials", "seeds", "queries", "otf_queries"):
+    for name in ("n", "trials", "seeds", "queries"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            sys.stderr.write(f"--{name.replace('_', '-')} must be positive\n")
+            sys.stderr.write(f"--{name} must be positive\n")
             return 1
     try:
         return args.func(args)

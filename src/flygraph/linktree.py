@@ -72,8 +72,8 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
 class LinkTree:
     """On-demand sampler of the parent-link tree on nodes 1..n."""
 
-    __slots__ = ("n", "source", "index", "children", "links", "flags",
-                 "fronts", "front_owner", "scan_loop_max", "_depth", "max_recursion_depth")
+    __slots__ = ("n", "source", "index", "children", "links", "fronts",
+                 "scan_loop_max", "_depth", "max_recursion_depth")
 
     def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
         if n < 1:
@@ -82,10 +82,8 @@ class LinkTree:
         self.source = source if source is not None else BitSource(seed)
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
-        self.links = {}
-        self.flags = {}
+        self.links = {}                   # node -> parent << 1 | flag
         self.fronts = self.index.fronts   # written only by the index
-        self.front_owner = {}             # front target -> the node fronting it
         self.scan_loop_max = 0
         self._depth = 0
         self.max_recursion_depth = 0
@@ -108,7 +106,7 @@ class LinkTree:
             return 1, DIRECT
         link = self.links.get(j)
         if link is not None:
-            return link, self.flags[j]
+            return link >> 1, link & 1
         get_front = self.fronts.get
         uniform = self.source.uniform_int
         attempts, check_at = 0, 64
@@ -126,8 +124,7 @@ class LinkTree:
                 if attempts * count >= 32 * (j - 1):
                     self.check_invariants()
         flag = self.source.uniform_flag()
-        self.links[j] = cand
-        self.flags[j] = flag
+        self.links[j] = cand << 1 | flag
         self.children.insert(cand, j)
         return cand, flag
 
@@ -180,8 +177,7 @@ class LinkTree:
             if x >= b:
                 raise InternalConsistencyError(f"scan of {j} selected {x} >= {b}")
             if x not in links:
-                links[x] = j
-                self.flags[x] = self.source.uniform_flag()
+                links[x] = j << 1 | self.source.uniform_flag()
                 self.children.insert(j, x)
                 break
             a = x + 1
@@ -216,7 +212,7 @@ class LinkTree:
         x = k
         while True:
             x = self.next_child_from(j, x)
-            if x > self.n or self.flags[x] == flag:
+            if x > self.n or self.links[x] & 1 == flag:
                 return x
 
     # -- recursive-tree facade -------------------------------------------------
@@ -234,21 +230,18 @@ class LinkTree:
     def _advance_front(self, j: int, old, new: int) -> None:
         """Move front(j) to ``new`` and keep every dependent structure in step.
 
-        Fixed order: owner links, candidate index (which moves the front),
-        then the recursion that gives an unfronted target its first front.
+        Front targets are children of the node fronting them, so the owner of
+        a target x is its parent, whenever that parent's front is x.  Fixed
+        order: the candidate index (which moves the front), then the
+        recursion that gives an unfronted target its first front.
         """
-        n = self.n
-        owners = self.front_owner
-        has_owner = j in owners
-        if old is not None and old <= n:
-            released = owners.pop(old, None)
-            if released != j:
+        n, links = self.n, self.links
+        for target in (old, new):
+            if target is not None and target <= n and links.get(target, 0) >> 1 != j:
                 raise InternalConsistencyError(
-                    f"front target {old} owned by {released}, moved by {j}")
-        if new <= n:
-            if new in owners:
-                raise InternalConsistencyError(f"front target {new} already owned")
-            owners[new] = j
+                    f"front target {target} of {j} is not its child")
+        link = links.get(j)
+        has_owner = link is not None and self.fronts.get(link >> 1) == j
         self.index.on_front_advance(j, old, new, has_owner)
         if new <= n and new not in self.fronts:
             self._depth += 1
@@ -260,23 +253,32 @@ class LinkTree:
     # -- resource accounting ---------------------------------------------------
 
     def stored_cells(self) -> int:
-        return (len(self.links) + len(self.flags) + len(self.front_owner)
-                + self.children.total_cells() + self.index.total_cells())
+        return len(self.links) + self.children.total_cells() + self.index.total_cells()
 
     def check_invariants(self) -> None:
-        """Recheck the candidate index and owner links against the fronts.
+        """Recheck child lists, fronts and the candidate index against the links.
 
         Raises :class:`InternalConsistencyError` at the first contradiction;
-        holds between public calls.  Costs O(F log F) for F fronted nodes.
+        holds between public calls.  Costs O(L + F log F) for L links and F
+        fronted nodes.
         """
-        n, fronts, owners, index = self.n, self.fronts, self.front_owner, self.index
+        n, links, fronts, index = self.n, self.links, self.fronts, self.index
+        listed = 0
+        for j in self.children.touched():
+            kids = self.children.members(j)
+            if (not kids or any(x >= y for x, y in zip(kids, kids[1:]))
+                    or any(not j < x <= n or links.get(x, 0) >> 1 != j for x in kids)):
+                raise InternalConsistencyError(f"child list of {j} disagrees with the links")
+            listed += len(kids)
+        if listed != len(links):
+            raise InternalConsistencyError(f"{listed} listed children for {len(links)} links")
         if index.pending:
             raise InternalConsistencyError(f"pending nodes at rest: {index.pending}")
-        if any(fronts.get(j) != target for target, j in owners.items()) or any(
-                not j < f <= n + 1 or (f <= n and owners.get(f) != j)
-                for j, f in fronts.items()):
-            raise InternalConsistencyError("owner links and fronts disagree")
-        if list(index.skip) != sorted(j for j in fronts if j not in owners):
+        if any(not j < f <= n + 1 or (f <= n and links.get(f, 0) >> 1 != j)
+               for j, f in fronts.items()):
+            raise InternalConsistencyError("a front target is not a child of its node")
+        owned = {f for f in fronts.values() if f <= n}
+        if list(index.skip) != sorted(j for j in fronts if j not in owned):
             raise InternalConsistencyError("skip set is not fronted minus owned")
         # Node i blocks (i, front(i)].  Both counts grow by one per position
         # between the points where a block starts or ends; check those.

@@ -69,8 +69,10 @@ class LazyMap:
 class ChildSets:
     """Per-node ordered sets of discovered children.
 
-    Each set is created on first touch and always carries the sentinel n+1 so
-    successor queries are total.  Sets are plain sorted lists: link-tree
+    A node's set is created by its first insert, so nodes with no known child
+    store nothing; ``successor`` answers n+1 past the end of a set.  A lone
+    child is stored as a bare int, since most nodes that have a known child
+    have exactly one; larger sets are plain sorted lists.  Link-tree
     in-degrees are logarithmic with high probability, so insertion by bisect
     stays cheap even on huge instances.
     """
@@ -81,27 +83,24 @@ class ChildSets:
         self.n = n
         self._sets = {}
 
-    def _ensure(self, j: int) -> list:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"child-set owner {j} outside [1, {self.n}]")
-        s = self._sets.get(j)
-        if s is None:
-            s = [self.n + 1]
-            self._sets[j] = s
-        return s
-
     def insert(self, j: int, i: int) -> None:
         """Record i as a child of j.  A duplicate insert signals a sampler bug."""
-        if not j < i <= self.n:
+        if not 1 <= j < i <= self.n:
             raise ValueError(f"child {i} of {j} outside ({j}, {self.n}]")
-        s = self._ensure(j)
+        sets = self._sets
+        s = sets.get(j)
+        if s is None:
+            sets[j] = i
+            return
+        if type(s) is int:
+            s = sets[j] = [s]
         pos = bisect_right(s, i)
         if pos and s[pos - 1] == i:
             raise InternalConsistencyError(f"child {i} of {j} inserted twice")
         s.insert(pos, i)
 
     def successor(self, j: int, k: int) -> int:
-        """Least recorded child of j strictly greater than k (possibly the sentinel).
+        """Least recorded child of j strictly greater than k, or n+1 if none.
 
         >>> cs = ChildSets(9)
         >>> cs.successor(2, 2)
@@ -109,18 +108,25 @@ class ChildSets:
         >>> cs.insert(2, 5); cs.successor(2, 2), cs.successor(2, 5)
         (5, 10)
         """
-        if not j <= k <= self.n:
+        if not 1 <= j <= k <= self.n:
             raise ValueError(f"successor probe {k} outside [{j}, {self.n}]")
-        s = self._ensure(j)
-        return s[bisect_right(s, k)]
+        s = self._sets.get(j)
+        if s is None:
+            return self.n + 1
+        if type(s) is int:
+            return s if s > k else self.n + 1
+        pos = bisect_right(s, k)
+        return s[pos] if pos < len(s) else self.n + 1
 
     def members(self, j: int) -> tuple:
-        """Children recorded for j so far, without the sentinel."""
-        s = self._sets.get(j)
-        return tuple(s[:-1]) if s else ()
+        """Children recorded for j so far."""
+        s = self._sets.get(j, ())
+        return (s,) if type(s) is int else tuple(s)
 
     def touched(self) -> tuple:
+        """Nodes with at least one recorded child."""
         return tuple(self._sets.keys())
 
     def total_cells(self) -> int:
-        return sum(len(s) for s in self._sets.values())
+        """One cell per node with a child, plus one per list slot."""
+        return len(self._sets) + sum(len(s) for s in self._sets.values() if type(s) is list)

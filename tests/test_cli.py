@@ -134,8 +134,6 @@ def test_stats_text_and_json(capsys):
     assert blob["n"] == 6
     assert blob["tv"] is not None
     assert blob["height"] > 0
-    assert blob["bits_per_query_mean"] >= 0
-    assert blob["time_per_query_ns"] > 0
 
 
 def test_bench_json(capsys):

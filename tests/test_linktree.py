@@ -1,11 +1,15 @@
 """Lazy link tree: exact stopping law, invariants, agreement with the naive twin."""
 
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from scipy.stats import chi2
@@ -350,7 +354,7 @@ class TestNextChild:
             t = LinkTree(9, seed=seed)
             x = t.next_child_typed(2, 2, 1)
             while x <= 9:
-                assert t.flags.get(x) == 1
+                assert t.links[x] & 1 == 1
                 x = t.next_child_typed(2, x, 1)
 
 
@@ -370,30 +374,25 @@ def check_invariants(tree):
     assert set(tree.index.fronted_nodes) == fronted
     values = sorted(tree.fronts.get(j) for j in fronted)
     assert sorted(tree.index.front_values) == values
-    owners = dict(tree.front_owner.items())
-    for target, j in owners.items():
-        assert tree.fronts.get(j) == target
-        assert target <= n
+    owned = set()
     for j in fronted:
         f = tree.fronts.get(j)
         assert f > j
         if f <= n:
-            assert owners.get(f) == j
+            assert tree.links[f] >> 1 == j
             assert tree.fronts.get(f) is not None
+            assert f not in owned
+            owned.add(f)
         if j >= 2:
             assert tree.links.get(j) is not None
-    expected_skip = {j for j in fronted if j not in owners}
+    expected_skip = fronted - owned
     assert set(tree.index.skip_members) == expected_skip
     for a in range(2, n + 2):
         assert tree.index.open_parent_count(a) == brute_open_parent_count(tree, a)
     for j in range(1, n + 1):
-        committed = tuple(x for x in range(2, n + 1) if tree.links.get(x) == j)
+        committed = tuple(x for x in range(2, n + 1) if tree.links.get(x, 0) >> 1 == j)
         assert tree.children.members(j) == committed
-    for x in range(2, n + 1):
-        if tree.links.get(x) is not None:
-            assert tree.flags.get(x) in (0, 1)
-        else:
-            assert tree.flags.get(x) is None
+    assert all(2 <= x <= n and 1 <= link >> 1 < x for x, link in tree.links.items())
 
 
 @pytest.mark.parametrize("n,seed,steps", [(8, 0, 60), (20, 1, 120), (50, 2, 200)])
@@ -420,7 +419,7 @@ def test_invariant_fuzz(n, seed, steps):
             r = tree.next_child_typed(j, k, flag)
             assert (k < r <= n + 1) or k == r == n + 1
             if r <= n:
-                assert tree.flags.get(r) == flag
+                assert tree.links[r] & 1 == flag
             cursor[j] = min(r, n + 1)
         if step % 7 == 0 or step == steps - 1:
             check_invariants(tree)
@@ -584,6 +583,31 @@ class TestBrokenState:
         tree.fronts[1] = 4
         with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):
             tree.parent(2)
+
+    def test_child_dropped_from_its_list_raises(self):
+        # The dropped child's link still names its parent, so the lists now
+        # hold one child fewer than there are links.
+        tree = LinkTree(30, seed=0)
+        for j in range(1, 10):
+            tree.next_child(j)
+        j = next(j for j in tree.children.touched() if len(tree.children.members(j)) > 1)
+        tree.children._sets[j].remove(tree.children.members(j)[-1])
+        with pytest.raises(InternalConsistencyError, match="children for"):
+            tree.check_invariants()
+
+
+def test_broken_state_raises_without_asserts():
+    # ``python -O`` strips assert statements; every scenario above must still
+    # end in InternalConsistencyError.
+    here = Path(__file__).resolve()
+    src = str(here.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::TestBrokenState"],
+        cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_determinism_bit_for_bit():

@@ -86,7 +86,8 @@ class TestChildSets:
         cs = ChildSets(9)
         assert cs.total_cells() == 0
         cs.insert(1, 2)
+        assert cs.total_cells() == 1
         cs.insert(1, 4)
         cs.successor(5, 5)
-        assert sorted(cs.touched()) == [1, 5]
-        assert cs.total_cells() == 4
+        assert sorted(cs.touched()) == [1]
+        assert cs.total_cells() == 3
