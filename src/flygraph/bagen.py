@@ -23,6 +23,9 @@ import heapq
 from .linktree import LinkTree
 from .randomness import COPY, DIRECT
 
+# Heap of every ended stream: the key stays, so the target is answered once.
+_ENDED = ()
+
 
 class BAGenerator:
     """Neighbor-stream sampler for preferential attachment on n nodes."""
@@ -48,7 +51,6 @@ class BAGenerator:
         n, tree = self.n, self.tree
         heap = self._heaps.get(j)
         if heap is None:
-            # The key outlives its heap's last head, so the target is answered once.
             heap = self._heaps[j] = []
             answer = self.ba_parent(j)
             heads = [tree.next_child_typed(j, j, DIRECT)]
@@ -67,6 +69,8 @@ class BAGenerator:
         for x in heads:
             if x <= n:
                 heapq.heappush(heap, x)
+        if not heap:
+            self._heaps[j] = _ENDED
         return answer
 
     @property

@@ -73,7 +73,7 @@ class LinkTree:
     """On-demand sampler of the parent-link tree on nodes 1..n."""
 
     __slots__ = ("n", "source", "index", "children", "links", "fronts",
-                 "scan_loop_max", "_depth", "max_recursion_depth")
+                 "scan_loop_max", "max_recursion_depth")
 
     def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
         if n < 1:
@@ -85,7 +85,6 @@ class LinkTree:
         self.links = {}                   # node -> parent << 1 | flag
         self.fronts = self.index.fronts   # written only by the index
         self.scan_loop_max = 0
-        self._depth = 0
         self.max_recursion_depth = 0
 
     # -- basic queries -------------------------------------------------------
@@ -132,10 +131,21 @@ class LinkTree:
         """Least undiscovered child of j; n+1 once none remain.
 
         Commits the scan: front(j) advances to the answer in every return
-        path, so the stretch below it is settled for good.  Fresh fronts get
-        a front of their own through recursion, keeping the counting
-        identities of the candidate index valid.
+        path, settling the stretch below it for good.  A fresh front target
+        gets a front by a scan of its own, and so on down the chain, which
+        keeps the index's counts valid; the chain is a loop, not a recursion.
         """
+        answer = x = self._scan(j)
+        chain = 0
+        while x <= self.n and x not in self.fronts:
+            chain += 1
+            x = self._scan(x)
+        if chain > self.max_recursion_depth:
+            self.max_recursion_depth = chain
+        return answer
+
+    def _scan(self, j: int) -> int:
+        """One scan of j: the least undiscovered child, with front(j) moved to it."""
         self.parent(j)
         n = self.n
         front = self.fronts.get(j)
@@ -186,34 +196,43 @@ class LinkTree:
         return x
 
     def next_child_from(self, j: int, k: int) -> int:
-        """Least child of j strictly above k, without re-randomizing below.
+        """Least child of j strictly above k, whatever its flag."""
+        return self.next_child_typed(j, k, None)
 
-        Picks known children straight out of the child set while they sit at
-        or below the front; otherwise defers to one fresh scan.  Callers must
-        not probe ahead of committed territory: k <= front(j) when the front
-        exists, k == j before the first scan.
+    def next_child_typed(self, j: int, k: int, flag: int | None) -> int:
+        """Least child of j above k whose flag matches (any, for None), or n+1.
+
+        Known children up to the front are read in one pass over j's child
+        set; only past the front does it scan, so nothing below k is redrawn.
+        Probes may not run ahead: k <= front(j), or k == j before any scan.
+        A walk that reaches n ends there; a scan would move front(j) to n+1.
         """
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        if not j <= k <= self.n + 1:
-            raise ValueError(f"probe {k} outside [{j}, {self.n + 1}]")
-        if k >= self.n:
-            return self.n + 1
+        n, links = self.n, self.links
+        if not 1 <= j <= n:
+            raise ValueError(f"node {j} outside [1, {n}]")
+        if not j <= k <= n + 1:
+            raise ValueError(f"probe {k} outside [{j}, {n + 1}]")
+        if k >= n:
+            return n + 1
         front = self.fronts.get(j)
         if (k > front) if front is not None else (k != j):
             raise ValueError(f"probe {k} ahead of the committed front of {j}")
-        q = self.children.successor(j, k)
-        if front is not None and q <= front:
-            return q
-        return self.next_child(j)
-
-    def next_child_typed(self, j: int, k: int, flag: int) -> int:
-        """Least child of j above k whose flag matches, or n+1."""
-        x = k
+        if front is not None:
+            for x in self.children.above(j, k):
+                if x > front:
+                    break
+                if flag is None or links[x] & 1 == flag:
+                    return x
+                if x == n:
+                    return n + 1
+            if front > n:
+                return n + 1
         while True:
-            x = self.next_child_from(j, x)
-            if x > self.n or self.links[x] & 1 == flag:
+            x = self.next_child(j)
+            if x > n or flag is None or links[x] & 1 == flag:
                 return x
+            if x == n:
+                return n + 1
 
     # -- recursive-tree facade -------------------------------------------------
 
@@ -231,9 +250,9 @@ class LinkTree:
         """Move front(j) to ``new`` and keep every dependent structure in step.
 
         Front targets are children of the node fronting them, so the owner of
-        a target x is its parent, whenever that parent's front is x.  Fixed
-        order: the candidate index (which moves the front), then the
-        recursion that gives an unfronted target its first front.
+        a target x is its parent, whenever that parent's front is x.  The
+        candidate index moves the front; an unfronted target is left to
+        :meth:`next_child`, which fronts it next.
         """
         n, links = self.n, self.links
         for target in (old, new):
@@ -243,12 +262,6 @@ class LinkTree:
         link = links.get(j)
         has_owner = link is not None and self.fronts.get(link >> 1) == j
         self.index.on_front_advance(j, old, new, has_owner)
-        if new <= n and new not in self.fronts:
-            self._depth += 1
-            if self._depth > self.max_recursion_depth:
-                self.max_recursion_depth = self._depth
-            self.next_child(new)
-            self._depth -= 1
 
     # -- resource accounting ---------------------------------------------------
 

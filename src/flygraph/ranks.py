@@ -14,8 +14,8 @@ lies below a and its end does not, so
 
     open_parent_count(a) = (a-1) - |skip < a| + |pending < a|.
 
-Only the scan's recursion creates a pending node, and it fronts the node
-before returning, so at most one exists, and none at rest.  The index owns
+Only a scan creates a pending node, and ``next_child`` fronts it by the next
+scan in its chain, so at most one exists, and none at rest.  The index owns
 the fronts and keeps all three in step from
 :meth:`CandidateIndex.on_front_advance`.
 """

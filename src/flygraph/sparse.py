@@ -118,6 +118,13 @@ class ChildSets:
         pos = bisect_right(s, k)
         return s[pos] if pos < len(s) else self.n + 1
 
+    def above(self, j: int, k: int):
+        """Recorded children of j above k, in order; unchecked, for validated keys."""
+        s = self._sets.get(j, ())
+        if type(s) is int:
+            return (s,) if s > k else ()
+        return s[bisect_right(s, k):]
+
     def members(self, j: int) -> tuple:
         """Children recorded for j so far."""
         s = self._sets.get(j, ())

@@ -610,6 +610,59 @@ def test_broken_state_raises_without_asserts():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_front_chain_needs_no_stack():
+    # Exhausting the streams of a prefix of a huge tree fronts chains of
+    # fresh targets 27 long; each scan must not take a stack frame per link.
+    code = """if True:
+        import sys
+        from flygraph import RRTGenerator
+        g = RRTGenerator(10**9, seed=1)
+        sys.setrecursionlimit(45)
+        for j in range(1, 201):
+            while g.next_neighbor(j) <= g.n:
+                pass
+        print(g.tree.max_recursion_depth)
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 20
+
+
+@pytest.mark.parametrize("n", [6, 15, 40])
+def test_typed_walk_matches_probe_by_probe(n):
+    # The one-pass typed walk must commit exactly what a walk of one-child
+    # probes does (a known child up to the front, else one scan, stopping at
+    # n): same answers, bits, links and fronts.
+    def probe_by_probe(tree, j, k, flag):
+        x = k
+        while x < n:
+            front, q = tree.fronts.get(j), tree.children.successor(j, x)
+            x = q if front is not None and q <= front else tree.next_child(j)
+            if x > n or flag is None or tree.links[x] & 1 == flag:
+                return x
+        return n + 1
+
+    for seed in range(40):
+        rng = random.Random(seed)
+        one, ref = LinkTree(n, seed=seed), LinkTree(n, seed=seed)
+        cursor = {}
+        for _ in range(4 * n):
+            j, flag = rng.randrange(1, n + 1), rng.choice((0, 1, None))
+            if rng.random() < 0.2:
+                assert one.parent(j) == ref.parent(j)
+                continue
+            k = cursor.get((j, flag), j)
+            r = one.next_child_typed(j, k, flag)
+            assert r == probe_by_probe(ref, j, k, flag)
+            cursor[j, flag] = min(r, n + 1)
+        assert one.source.bits_consumed == ref.source.bits_consumed
+        assert one.links == ref.links and one.fronts == ref.fronts
+
+
 def test_determinism_bit_for_bit():
     n = 30
     ops = [("c", 3), ("p", 17), ("c", 3), ("t", 5, 1), ("c", 9), ("p", 30)]
