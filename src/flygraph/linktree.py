@@ -135,6 +135,8 @@ class LinkTree:
         gets a front by a scan of its own, and so on down the chain, which
         keeps the index's counts valid; the chain is a loop, not a recursion.
         """
+        if not 1 <= j <= self.n:
+            raise ValueError(f"node {j} outside [1, {self.n}]")
         answer = x = self._scan(j)
         chain = 0
         while x <= self.n and x not in self.fronts:
@@ -145,9 +147,13 @@ class LinkTree:
         return answer
 
     def _scan(self, j: int) -> int:
-        """One scan of j: the least undiscovered child, with front(j) moved to it."""
-        self.parent(j)
-        n = self.n
+        """One scan of j: the least undiscovered child, with front(j) moved to it.
+
+        Unchecked: j is a node of [1, n], validated by the caller.
+        """
+        n, links = self.n, self.links
+        if j > 1 and j not in links:
+            self.parent(j)
         front = self.fronts.get(j)
         if front is not None and front >= n:
             if front == n:
@@ -155,12 +161,11 @@ class LinkTree:
             return n + 1
         base = j if front is None else front
         a = base + 1
-        b = self.children.successor(j, base)
+        b = self.children.first_above(j, base)
         skip = self.index.skip
         pending = self.index.pending
-        links = self.links
         # One bisection at a gives both counts of a step; the one at b serves all.
-        kb = skip.bisect_left(b)
+        kb = len(skip) if b > n else skip.bisect_left(b)
         # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
         limit = len(links) + 1
         steps = 0
@@ -306,75 +311,6 @@ class LinkTree:
                 raise InternalConsistencyError(f"open parent count wrong at {a}")
 
 
-class NaiveLinkTree:
-    """Reference twin with the same query semantics, by linear scan.
-
-    Keeps only links, flags, and fronts; every probability is recomputed by
-    brute force over them, one coin per undecided position.  Quadratic per
-    query and meant purely as a distribution oracle for small n.
-    """
-
-    def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
-        self.source = source if source is not None else BitSource(seed)
-        self.links = {}
-        self.flags = {}
-        self.fronts = {}
-
-    def open_parent_count(self, x: int) -> int:
-        return sum(1 for i in range(1, x) if self.fronts.get(i, 0) < x)
-
-    def parent(self, j: int) -> tuple[int, int]:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        if j == 1:
-            return 1, DIRECT
-        link = self.links.get(j)
-        if link is not None:
-            return link, self.flags[j]
-        fronts = self.fronts
-        pool = [i for i in range(1, j)
-                if fronts.get(i) is None or fronts[i] < j]
-        link = pool[self.source.uniform_int(len(pool))]
-        flag = self.source.uniform_flag()
-        self.links[j] = link
-        self.flags[j] = flag
-        return link, flag
-
-    def next_child(self, j: int, k: int) -> int:
-        """Least child of j above k: scan positions, one exact coin each."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        if not j <= k <= self.n + 1:
-            raise ValueError(f"probe {k} outside [{j}, {self.n + 1}]")
-        links = self.links
-        start_front = self.fronts.get(j, 0)
-        result = self.n + 1
-        for x in range(k + 1, self.n + 1):
-            px = links.get(x)
-            if px == j:
-                result = x
-                break
-            if px is None and x > start_front:
-                if self.source.uniform_int(self.open_parent_count(x)) == 0:
-                    links[x] = j
-                    self.flags[x] = self.source.uniform_flag()
-                    result = x
-                    break
-        if result > start_front:
-            self.fronts[j] = result
-        return result
-
-    def next_child_typed(self, j: int, k: int, flag: int) -> int:
-        x = k
-        while True:
-            x = self.next_child(j, x)
-            if x > self.n or self.flags[x] == flag:
-                return x
-
-
 class RRTGenerator:
     """Neighbor-stream adapter for random recursive trees.
 
@@ -389,10 +325,10 @@ class RRTGenerator:
         self._cursor = {}
 
     def parent(self, j: int) -> int:
-        return self.tree.rrt_parent(j)
+        return self.tree.parent(j)[0]
 
     def next_child(self, j: int, k: int) -> int:
-        return self.tree.rrt_next_child(j, k)
+        return self.tree.next_child_from(j, k)
 
     def next_neighbor(self, j: int) -> int:
         if not 1 <= j <= self.n:
@@ -400,10 +336,10 @@ class RRTGenerator:
         cur = self._cursor.get(j)
         if cur is None:
             self._cursor[j] = j
-            return self.tree.rrt_parent(j)
+            return self.tree.parent(j)[0]
         if cur > self.n:
             return self.n + 1
-        r = self.tree.rrt_next_child(j, cur)
+        r = self.tree.next_child_from(j, cur)
         self._cursor[j] = r
         return r
 

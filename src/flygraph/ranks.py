@@ -18,15 +18,149 @@ Only a scan creates a pending node, and ``next_child`` fronts it by the next
 scan in its chain, so at most one exists, and none at rest.  The index owns
 the fronts and keeps all three in step from
 :meth:`CandidateIndex.on_front_advance`.
+
+The skip set is a :class:`SortedBlocks`, sorted blocks under a Fenwick tree
+of their sizes: a rank costs two C bisections and O(log B) additions for B
+blocks, and an add or remove updates the counts in place.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-
-from sortedcontainers import SortedList
+from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 
 from .errors import InternalConsistencyError
+
+# Members per block after a split; a block splits once it holds twice this.
+BLOCK_LOAD = 1000
+
+
+class SortedBlocks:
+    """Sorted multiset with rank queries by bisection and a Fenwick prefix sum.
+
+    Members sit in sorted blocks of at most ``2 * BLOCK_LOAD``; ``_maxes``
+    holds each block's largest member, and ``_tree`` is a Fenwick tree over
+    the block sizes, so the members in blocks before block k sum in
+    O(log B) for B blocks.  ``add`` and ``remove`` update one Fenwick path;
+    the tree is rebuilt only when a block splits or empties.  The methods
+    that exist keep ``sortedcontainers.SortedList``'s names and answers.
+    """
+
+    __slots__ = ("_lists", "_maxes", "_tree", "_len")
+
+    def __init__(self, iterable=()):
+        values = sorted(iterable)
+        self._lists = [values[k:k + BLOCK_LOAD] for k in range(0, len(values), BLOCK_LOAD)]
+        self._maxes = [block[-1] for block in self._lists]
+        self._len = len(values)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        tree = [0]
+        tree += map(len, self._lists)
+        size = len(tree)
+        for i in range(1, size):
+            up = i + (i & -i)
+            if up < size:
+                tree[up] += tree[i]
+        self._tree = tree
+
+    def _update(self, k: int, delta: int) -> None:
+        """Add ``delta`` to the size of block k."""
+        tree = self._tree
+        size = len(tree)
+        k += 1
+        while k < size:
+            tree[k] += delta
+            k += k & -k
+
+    def bisect_left(self, value) -> int:
+        """Number of members below ``value``."""
+        maxes = self._maxes
+        k = bisect_left(maxes, value)
+        if k == len(maxes):
+            return self._len
+        rank = bisect_left(self._lists[k], value)
+        tree = self._tree
+        while k:
+            rank += tree[k]
+            k &= k - 1
+        return rank
+
+    def bisect_right(self, value) -> int:
+        """Number of members at or below ``value``."""
+        maxes = self._maxes
+        k = bisect_right(maxes, value)
+        if k == len(maxes):
+            return self._len
+        rank = bisect_right(self._lists[k], value)
+        tree = self._tree
+        while k:
+            rank += tree[k]
+            k &= k - 1
+        return rank
+
+    def add(self, value) -> None:
+        lists, maxes = self._lists, self._maxes
+        self._len += 1
+        if not maxes:
+            lists.append([value])
+            maxes.append(value)
+            self._rebuild()
+            return
+        k = bisect_right(maxes, value)
+        if k == len(maxes):
+            k -= 1
+            lists[k].append(value)
+            maxes[k] = value
+        else:
+            insort(lists[k], value)
+        block = lists[k]
+        if len(block) > 2 * BLOCK_LOAD:
+            lists.insert(k + 1, block[BLOCK_LOAD:])
+            del block[BLOCK_LOAD:]
+            maxes.insert(k, block[-1])
+            self._rebuild()
+        else:
+            self._update(k, 1)
+
+    def remove(self, value) -> None:
+        """Remove one copy of ``value``; ValueError if it is not a member."""
+        lists, maxes = self._lists, self._maxes
+        k = bisect_left(maxes, value)
+        if k < len(maxes):
+            block = lists[k]
+            pos = bisect_left(block, value)
+            if block[pos] == value:
+                del block[pos]
+                self._len -= 1
+                if not block:
+                    del lists[k], maxes[k]
+                    self._rebuild()
+                    return
+                if pos == len(block):
+                    maxes[k] = block[-1]
+                self._update(k, -1)
+                return
+        raise ValueError(f"{value} is not in the index")
+
+    def __contains__(self, value) -> bool:
+        maxes = self._maxes
+        k = bisect_left(maxes, value)
+        if k == len(maxes):
+            return False
+        block = self._lists[k]
+        return block[bisect_left(block, value)] == value
+
+    def __iter__(self):
+        return chain.from_iterable(self._lists)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def cells(self) -> int:
+        """Members plus bookkeeping: block slots, maxima and Fenwick entries."""
+        return self._len + len(self._lists) + len(self._maxes) + len(self._tree)
 
 
 class CandidateIndex:
@@ -43,8 +177,8 @@ class CandidateIndex:
             raise ValueError("n must be positive")
         self.n = n
         self.fronts = {}
-        self.skip = SortedList()   # fronted nodes with no current owner
-        self.pending = []          # owned nodes whose first front is not set yet
+        self.skip = SortedBlocks()  # fronted nodes with no current owner
+        self.pending = []           # owned nodes whose first front is not set yet
 
     # -- counting queries --------------------------------------------------
 
@@ -145,4 +279,4 @@ class CandidateIndex:
         return i in self.skip
 
     def total_cells(self) -> int:
-        return len(self.fronts) + len(self.skip) + len(self.pending)
+        return len(self.fronts) + self.skip.cells() + len(self.pending)

@@ -110,6 +110,10 @@ class ChildSets:
         """
         if not 1 <= j <= k <= self.n:
             raise ValueError(f"successor probe {k} outside [{j}, {self.n}]")
+        return self.first_above(j, k)
+
+    def first_above(self, j: int, k: int) -> int:
+        """``successor`` unchecked, for keys the caller has validated."""
         s = self._sets.get(j)
         if s is None:
             return self.n + 1

@@ -8,13 +8,12 @@ container the counter forgets, or one a change adds without a term, shows.
 import random
 
 import pytest
-from sortedcontainers import SortedList
 
 from flygraph import BAGenerator, RRTGenerator
 
 
 def held_cells(obj, seen: set) -> int:
-    """len() summed over every dict, list and SortedList reachable from obj.
+    """len() summed over every dict and list reachable from obj.
 
     Descends through dict values, list items and the attributes of package
     objects; each container counts once, however many paths reach it.
@@ -22,8 +21,6 @@ def held_cells(obj, seen: set) -> int:
     if id(obj) in seen:
         return 0
     seen.add(id(obj))
-    if isinstance(obj, SortedList):
-        return len(obj)
     if isinstance(obj, dict):
         return len(obj) + sum(held_cells(v, seen) for v in obj.values())
     if isinstance(obj, list):

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 from scipy.stats import chi2
-from sortedcontainers import SortedList
 
 from flygraph import (BitSource, InternalConsistencyError, LinkTree,
                       NaiveLinkTree, RRTGenerator, chi_square_gof,
                       chi_square_two_sample, enumerate_exact,
                       sample_candidate_rank)
+from flygraph.ranks import SortedBlocks
 
 
 def stop_law(open_count: int, t: int) -> list:
@@ -548,7 +548,7 @@ def hang_fails(seconds=10):
         signal.signal(signal.SIGALRM, previous)
 
 
-class MiscountingSkip(SortedList):
+class MiscountingSkip(SortedBlocks):
     """Skip set whose bisect_right is off by ``shift``."""
 
     shift = 0

@@ -25,10 +25,16 @@ def test_import_loads_only_the_query_path():
     out = run_python(
         "import sys, flygraph\n"
         "flygraph.BAGenerator(1000, seed=1).next_neighbor(1)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('flygraph')))\n")
-    loaded = eval(out)
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('flygraph', 'sortedcontainers'))))\n"
+        "print(sorted(m for m, mod in list(sys.modules.items())\n"
+        "             if m.startswith('flygraph') and 'NaiveLinkTree' in vars(mod)))\n")
+    loaded, oracle_holders = map(eval, out.splitlines())
     assert "flygraph.batch" not in loaded and "flygraph.stats" not in loaded
     assert "flygraph.bagen" in loaded and "flygraph.linktree" in loaded
+    assert not any(m.startswith("sortedcontainers") for m in loaded)
+    # The test oracle NaiveLinkTree is defined in no module loaded so far.
+    assert oracle_holders == []
 
 
 def test_star_import_binds_every_export():

@@ -1,10 +1,13 @@
 """Candidate index against a brute-force recomputing oracle."""
 
 import random
+from bisect import bisect_left, bisect_right, insort
 
 import pytest
 
 from flygraph import CandidateIndex, InternalConsistencyError
+from flygraph import ranks
+from flygraph.ranks import SortedBlocks
 
 
 class FrontOracle:
@@ -180,3 +183,60 @@ def test_randomized_advance_sequences(n, seed, steps):
         j, new = rng.choice(moves)
         oracle.advance_cascading(index, j, new, rng)
         check_all_queries(index, oracle)
+
+
+def check_blocks(blocks, plain, probes):
+    assert list(blocks) == plain and len(blocks) == len(plain)
+    for v in probes:
+        assert blocks.bisect_left(v) == bisect_left(plain, v), v
+        assert blocks.bisect_right(v) == bisect_right(plain, v), v
+        assert (v in blocks) == (v in plain), v
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sorted_blocks_match_a_sorted_list(monkeypatch, seed):
+    # Blocks of 4 split after 9 members, so a few dozen adds split often,
+    # and removals drain whole blocks; every probe from below the least
+    # member to above the greatest is checked after each edit.
+    monkeypatch.setattr(ranks, "BLOCK_LOAD", 4)
+    rng = random.Random(seed)
+    plain = sorted(rng.sample(range(60), 10))
+    blocks = SortedBlocks(plain)
+    probes = range(-2, 63)
+    check_blocks(blocks, plain, probes)
+    splits = empties = 0
+    for step in range(600):
+        before = len(blocks._lists)
+        grow = step % 200 < 120
+        if plain and (not grow or rng.random() < 0.3):
+            v = rng.choice(plain)
+            plain.remove(v)
+            blocks.remove(v)
+        else:
+            v = rng.randrange(60)
+            if v in plain:
+                continue
+            insort(plain, v)
+            blocks.add(v)
+        splits += len(blocks._lists) > before
+        empties += len(blocks._lists) < before
+        check_blocks(blocks, plain, probes)
+    assert splits >= 3 and empties >= 1
+    with pytest.raises(ValueError):
+        blocks.remove(60)
+
+
+def test_sorted_blocks_at_full_load():
+    rng = random.Random(7)
+    values = rng.sample(range(10**6), 5 * ranks.BLOCK_LOAD)
+    blocks, plain = SortedBlocks(), []
+    for v in values:
+        blocks.add(v)
+        insort(plain, v)
+    assert len(blocks._lists) > 3
+    probes = [-1, 10**6] + rng.sample(range(10**6), 200) + plain[::97]
+    check_blocks(blocks, plain, probes)
+    for v in values[: 4 * ranks.BLOCK_LOAD]:
+        blocks.remove(v)
+        plain.remove(v)
+    check_blocks(blocks, plain, probes)
