@@ -14,6 +14,12 @@ edge lands on the same head).  The streams are strictly increasing and
 pairwise disjoint, so a binary heap merges them without duplicates; each
 emitted child opens its own copy stream.  Node 1 additionally owns its
 copy-flagged children outright, because copying the self-loop stays at 1.
+
+The first call answers the target alone and opens no stream: the streams
+open on the second call, so a node asked once costs its copy chain and one
+marker, never a scan for a child nobody asked for.  Every answer is read
+off the one lazily sampled link tree, so deferring the scans changes which
+bits feed which link, not the law.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import heapq
 from .linktree import LinkTree
 from .randomness import COPY, DIRECT
 
+# Heap of a node whose target is answered but whose streams are not open yet.
+_UNOPENED = frozenset()
 # Heap of every ended stream: the key stays, so the target is answered once.
 _ENDED = ()
 
@@ -45,32 +53,40 @@ class BAGenerator:
         return node
 
     def next_neighbor(self, j: int) -> int:
-        """Next neighbor of j: attachment target first, then children, then n+1."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        n, tree = self.n, self.tree
-        heap = self._heaps.get(j)
+        """Next neighbor of j: attachment target first, then children, then n+1.
+
+        The first call answers ``ba_parent(j)`` and leaves j's streams closed;
+        the second opens them and answers the least child.
+        """
+        heaps = self._heaps
+        heap = heaps.get(j)
         if heap is None:
-            heap = self._heaps[j] = []
+            # ba_parent validates j, so a node outside [1, n] never gets a key.
             answer = self.ba_parent(j)
-            heads = [tree.next_child_typed(j, j, DIRECT)]
+            heaps[j] = _UNOPENED
+            return answer
+        n, tree = self.n, self.tree
+        if heap is _UNOPENED:
+            head = tree.next_child_typed(j, j, DIRECT)
+            heap = [head] if head <= n else []
             if j == 1:
-                heads.append(tree.next_child_typed(1, 1, COPY))
-        elif not heap:
+                head = tree.next_child_typed(1, 1, COPY)
+                if head <= n:
+                    heapq.heappush(heap, head)
+            heaps[j] = heap or _ENDED
+        if not heap:
             return n + 1
+        answer = heapq.heappop(heap)
+        link = tree.links[answer]
+        if link & 1 == DIRECT:
+            head = tree.next_child_typed(j, answer, DIRECT)
         else:
-            answer = heapq.heappop(heap)
-            link = tree.links[answer]
-            if link & 1 == DIRECT:
-                head = tree.next_child_typed(j, answer, DIRECT)
-            else:
-                head = tree.next_child_typed(link >> 1, answer, COPY)
-            heads = (head, tree.next_child_typed(answer, answer, COPY))
-        for x in heads:
+            head = tree.next_child_typed(link >> 1, answer, COPY)
+        for x in (head, tree.next_child_typed(answer, answer, COPY)):
             if x <= n:
                 heapq.heappush(heap, x)
         if not heap:
-            self._heaps[j] = _ENDED
+            heaps[j] = _ENDED
         return answer
 
     @property

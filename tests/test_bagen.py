@@ -1,5 +1,6 @@
 """Preferential-attachment neighbor streams."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -78,6 +79,43 @@ def test_sweep_law_matches_exact(n, draws):
         sample = reconstruct_via_sweep(BAGenerator(n, seed=s), "ba")
         counts[sample.outcome()] += 1
     assert chi_square_gof(counts, law, draws) > 1e-6
+
+
+def decreasing_outcome(gen):
+    """Every node's first answer in decreasing node order, then every stream
+    read to n+1 in decreasing order; the parents, checked against the streams."""
+    n = gen.n
+    parents = [0] * (n + 1)
+    for j in range(n, 0, -1):
+        parents[j] = gen.next_neighbor(j)
+    assert parents[1] == 1 and all(1 <= parents[j] < j for j in range(2, n + 1))
+    assert not gen.tree.fronts, "a first answer scanned for a child"
+    for j in range(n, 0, -1):
+        kids = []
+        while (x := gen.next_neighbor(j)) <= n:
+            kids.append(x)
+        assert kids == [c for c in range(2, n + 1) if parents[c] == j]
+    return tuple(parents[2:])
+
+
+@pytest.mark.parametrize("n,draws", [(4, 40_000), (5, 40_000)])
+def test_decreasing_first_answers_law_matches_exact(n, draws):
+    # Every target is answered before any stream opens, the schedule that
+    # leaves the most streams closed behind a first call.
+    law = enumerate_exact("ba", n)
+    counts = Counter(decreasing_outcome(BAGenerator(n, seed=s))
+                     for s in range(draws))
+    assert chi_square_gof(counts, law, draws) > 1e-6
+
+
+@pytest.mark.parametrize("j", [1, 2, random.Random(11).randrange(3, 10**6 + 1)])
+def test_first_call_answers_target_without_scanning(j):
+    n = 10**6
+    lazy, twin = BAGenerator(n, seed=j), BAGenerator(n, seed=j)
+    assert lazy.next_neighbor(j) == twin.ba_parent(j)
+    assert lazy.bits_consumed == twin.bits_consumed
+    assert lazy.tree.links == twin.tree.links
+    assert j not in lazy.tree.fronts
 
 
 def test_roundrobin_law_matches_exact():
