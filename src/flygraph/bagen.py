@@ -45,8 +45,6 @@ class BAGenerator:
 
     def ba_parent(self, j: int) -> int:
         """Head of j's attachment edge: follow copy flags until a direct link."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
         node, flag = self.tree.parent(j)
         while flag == COPY:
             node, flag = self.tree.parent(node)

@@ -54,14 +54,14 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be positive")
 
 
-def batch_ba(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSample:
+def batch_ba(n: int, seed: int = 0) -> GraphSample:
     """Sample preferential attachment directly, degree-proportional per step.
 
     Keeps the flat list of edge endpoints; a uniform pick from it is a
     degree-biased pick of a node, so each step is one exact draw.
     """
     _check_n(n)
-    src = source if source is not None else BitSource(seed)
+    src = BitSource(seed)
     parents = [0, 1] + [0] * (n - 1)
     endpoints = [1, 1]
     for j in range(2, n + 1):
@@ -72,7 +72,7 @@ def batch_ba(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSam
     return GraphSample("ba", n, tuple(parents))
 
 
-def batch_z(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSample:
+def batch_z(n: int, seed: int = 0) -> GraphSample:
     """Sample the uniform-copying model and resolve each copy to its head.
 
     Per node: one uniform pick of an earlier node and one unbiased flag;
@@ -80,7 +80,7 @@ def batch_z(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSamp
     resulting parent vector is distributed exactly as ``batch_ba``.
     """
     _check_n(n)
-    src = source if source is not None else BitSource(seed)
+    src = BitSource(seed)
     parents = [0, 1] + [0] * (n - 1)
     for j in range(2, n + 1):
         u = 1 + src.uniform_int(j - 1)
@@ -89,10 +89,10 @@ def batch_z(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSamp
     return GraphSample("z", n, tuple(parents))
 
 
-def batch_rrt(n: int, seed: int = 0, source: BitSource | None = None) -> GraphSample:
+def batch_rrt(n: int, seed: int = 0) -> GraphSample:
     """Sample a random recursive tree: each node picks a uniform earlier parent."""
     _check_n(n)
-    src = source if source is not None else BitSource(seed)
+    src = BitSource(seed)
     parents = [0, 1] + [0] * (n - 1)
     for j in range(2, n + 1):
         parents[j] = 1 + src.uniform_int(j - 1)

@@ -25,8 +25,6 @@ are rejected and the scan resumes above them).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import InternalConsistencyError
 from .randomness import BitSource, DIRECT
 from .ranks import CandidateIndex
@@ -75,11 +73,11 @@ class LinkTree:
     __slots__ = ("n", "source", "index", "children", "links", "fronts",
                  "scan_loop_max", "max_recursion_depth")
 
-    def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
+    def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.source = source if source is not None else BitSource(seed)
+        self.source = BitSource(seed)
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
         self.links = {}                   # node -> parent << 1 | flag
@@ -132,24 +130,28 @@ class LinkTree:
 
         Commits the scan: front(j) advances to the answer in every return
         path, settling the stretch below it for good.  A fresh front target
-        gets a front by a scan of its own, and so on down the chain, which
+        is owned by the node just scanned but has no front, so it gets one by
+        a scan of its own that is told so, and so on down the chain, which
         keeps the index's counts valid; the chain is a loop, not a recursion.
         """
         if not 1 <= j <= self.n:
             raise ValueError(f"node {j} outside [1, {self.n}]")
-        answer = x = self._scan(j)
+        answer = x = self._scan(j, False)
         chain = 0
         while x <= self.n and x not in self.fronts:
             chain += 1
-            x = self._scan(x)
+            x = self._scan(x, True)
         if chain > self.max_recursion_depth:
             self.max_recursion_depth = chain
         return answer
 
-    def _scan(self, j: int) -> int:
+    def _scan(self, j: int, owned: bool) -> int:
         """One scan of j: the least undiscovered child, with front(j) moved to it.
 
-        Unchecked: j is a node of [1, n], validated by the caller.
+        ``owned`` says that j is a fresh front target, owned but not fronted:
+        the skip set counts the head of j's chain as blocking, though the
+        chain ends at j and blocks nothing above it, so the open count adds
+        one back.  Unchecked: j is a node of [1, n], validated by the caller.
         """
         n, links = self.n, self.links
         if j > 1 and j not in links:
@@ -157,13 +159,12 @@ class LinkTree:
         front = self.fronts.get(j)
         if front is not None and front >= n:
             if front == n:
-                self._advance_front(j, front, n + 1)
+                self._advance_front(j, front, n + 1, owned)
             return n + 1
         base = j if front is None else front
         a = base + 1
         b = self.children.first_above(j, base)
         skip = self.index.skip
-        pending = self.index.pending
         # One bisection at a gives both counts of a step; the one at b serves all.
         kb = len(skip) if b > n else skip.bisect_left(b)
         # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
@@ -178,7 +179,7 @@ class LinkTree:
             if s == 0:
                 h = 0
             else:
-                open_count = (a - 1) - ka + bisect_left(pending, a)
+                open_count = (a - 1) - ka + owned
                 h = sample_candidate_rank(self.source, open_count, s + 1)
             if h == s:
                 x = b
@@ -197,7 +198,7 @@ class LinkTree:
                 break
             a = x + 1
         self.scan_loop_max = max(self.scan_loop_max, steps)
-        self._advance_front(j, front, x)
+        self._advance_front(j, front, x, owned)
         return x
 
     def next_child_from(self, j: int, k: int) -> int:
@@ -251,11 +252,12 @@ class LinkTree:
 
     # -- internals ----------------------------------------------------------
 
-    def _advance_front(self, j: int, old, new: int) -> None:
+    def _advance_front(self, j: int, old, new: int, owned: bool) -> None:
         """Move front(j) to ``new`` and keep every dependent structure in step.
 
         Front targets are children of the node fronting them, so the owner of
-        a target x is its parent, whenever that parent's front is x.  The
+        a target x is its parent, whenever that parent's front is x.  At j's
+        first front, ``owned`` from the chain must agree with that.  The
         candidate index moves the front; an unfronted target is left to
         :meth:`next_child`, which fronts it next.
         """
@@ -264,9 +266,11 @@ class LinkTree:
             if target is not None and target <= n and links.get(target, 0) >> 1 != j:
                 raise InternalConsistencyError(
                     f"front target {target} of {j} is not its child")
-        link = links.get(j)
-        has_owner = link is not None and self.fronts.get(link >> 1) == j
-        self.index.on_front_advance(j, old, new, has_owner)
+        if old is None:
+            link = links.get(j)
+            if owned != (link is not None and self.fronts.get(link >> 1) == j):
+                raise InternalConsistencyError(f"owner of {j} out of sync with the chain")
+        self.index.on_front_advance(j, old, new, owned)
 
     # -- resource accounting ---------------------------------------------------
 
@@ -290,12 +294,12 @@ class LinkTree:
             listed += len(kids)
         if listed != len(links):
             raise InternalConsistencyError(f"{listed} listed children for {len(links)} links")
-        if index.pending:
-            raise InternalConsistencyError(f"pending nodes at rest: {index.pending}")
         if any(not j < f <= n + 1 or (f <= n and links.get(f, 0) >> 1 != j)
                for j, f in fronts.items()):
             raise InternalConsistencyError("a front target is not a child of its node")
         owned = {f for f in fronts.values() if f <= n}
+        if not owned <= fronts.keys():
+            raise InternalConsistencyError(f"owned nodes without a front: {owned - fronts.keys()}")
         if list(index.skip) != sorted(j for j in fronts if j not in owned):
             raise InternalConsistencyError("skip set is not fronted minus owned")
         # Node i blocks (i, front(i)].  Both counts grow by one per position
@@ -331,12 +335,11 @@ class RRTGenerator:
         return self.tree.next_child_from(j, k)
 
     def next_neighbor(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
         cur = self._cursor.get(j)
         if cur is None:
+            answer = self.tree.parent(j)[0]
             self._cursor[j] = j
-            return self.tree.parent(j)[0]
+            return answer
         if cur > self.n:
             return self.n + 1
         r = self.tree.next_child_from(j, cur)

@@ -17,11 +17,11 @@ class NaiveLinkTree:
     query and meant purely as a distribution oracle for small n.
     """
 
-    def __init__(self, n: int, seed: int = 0, source: BitSource | None = None):
+    def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.source = source if source is not None else BitSource(seed)
+        self.source = BitSource(seed)
         self.links = {}
         self.flags = {}
         self.fronts = {}

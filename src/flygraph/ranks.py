@@ -7,16 +7,16 @@ a.  Second, rank and select over the positions a scan may stop at, which
 excludes the skip set: nodes that carry a front while nobody's front rests
 on them.
 
-Fronts form disjoint increasing chains i -> front(i) -> ...  Each starts at a
-skip member and ends at the sentinel n+1 or at a pending node (owned, not yet
-fronted).  A chain blocks position a, through exactly one link, when its head
-lies below a and its end does not, so
+Fronts form disjoint increasing chains i -> front(i) -> ...  At rest each
+starts at a skip member and ends at the sentinel n+1, so a chain blocks
+position a, through exactly one link, when its head lies below a:
 
-    open_parent_count(a) = (a-1) - |skip < a| + |pending < a|.
+    open_parent_count(a) = (a-1) - |skip < a|.
 
-Only a scan creates a pending node, and ``next_child`` fronts it by the next
-scan in its chain, so at most one exists, and none at rest.  The index owns
-the fronts and keeps all three in step from
+A scan that answers a fresh node leaves one owned node without a front at a
+chain's end; ``LinkTree.next_child`` scans that node next and tells the scan
+it is owned, which counts the chain end back as open.  The index owns the
+fronts and keeps the skip set in step from
 :meth:`CandidateIndex.on_front_advance`.
 
 The skip set is a :class:`SortedBlocks`, sorted blocks under a Fenwick tree
@@ -167,10 +167,10 @@ class CandidateIndex:
     """Sparse counting structures over scan fronts.
 
     Storage grows with the number of fronted nodes, never with n.  ``fronts``
-    maps each fronted node to its front; ``skip`` and ``pending`` are sorted.
+    maps each fronted node to its front; ``skip`` is sorted.
     """
 
-    __slots__ = ("n", "fronts", "skip", "pending")
+    __slots__ = ("n", "fronts", "skip")
 
     def __init__(self, n: int):
         if n < 1:
@@ -178,7 +178,6 @@ class CandidateIndex:
         self.n = n
         self.fronts = {}
         self.skip = SortedBlocks()  # fronted nodes with no current owner
-        self.pending = []           # owned nodes whose first front is not set yet
 
     # -- counting queries --------------------------------------------------
 
@@ -186,7 +185,7 @@ class CandidateIndex:
         """Number of i < a with front(i) unset or front(i) < a."""
         if not 2 <= a <= self.n + 1:
             raise ValueError(f"position {a} outside [2, {self.n + 1}]")
-        return (a - 1) - self.skip.bisect_left(a) + bisect_left(self.pending, a)
+        return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_count(self, a: int, b: int) -> int:
         """Size of [a, b) with skip-set members removed."""
@@ -233,33 +232,23 @@ class CandidateIndex:
         """Record front(i) moving from ``old`` (possibly None) to ``new``.
 
         ``has_owner`` says whether something fronts to i; it matters only at
-        i's first front, when i leaves the pending set if owned and joins the
-        skip set otherwise.  The old target (a real node) loses its owner and
-        joins the skip set; the new one gains an owner and leaves it, or turns
-        pending while it has no front of its own.
+        i's first front, when i joins the skip set unless owned.  The old
+        target (a real node) loses its owner and joins the skip set; the new
+        one gains an owner and leaves it, unless it has no front yet.
         """
         fronts = self.fronts
         if new is None or (old is not None and new <= old) or fronts.get(i) != old:
             raise InternalConsistencyError(f"front of {i} may not move {old} -> {new}")
         fronts[i] = new
-        n = self.n
         if old is None:
-            if has_owner != (i in self.pending):
-                raise InternalConsistencyError(f"owner of {i} out of sync with pending set")
-            if has_owner:
-                self.pending.remove(i)
-            else:
+            if not has_owner:
                 self.skip.add(i)
-        elif old <= n:
-            if old in fronts:
-                self.skip.add(old)
-            else:
-                self.pending.remove(old)
-        if new <= n:
-            if new in fronts:
-                self.skip.remove(new)
-            else:
-                insort(self.pending, new)
+        elif old <= self.n:
+            if old not in fronts:
+                raise InternalConsistencyError(f"old front target {old} of {i} has no front")
+            self.skip.add(old)
+        if new <= self.n and new in fronts:
+            self.skip.remove(new)
 
     # -- introspection (tests, resource accounting) ---------------------------
 
@@ -268,15 +257,8 @@ class CandidateIndex:
         return tuple(sorted(self.fronts))
 
     @property
-    def front_values(self) -> tuple:
-        return tuple(sorted(self.fronts.values()))
-
-    @property
     def skip_members(self) -> tuple:
         return tuple(self.skip)
 
-    def in_skip_set(self, i: int) -> bool:
-        return i in self.skip
-
     def total_cells(self) -> int:
-        return len(self.fronts) + self.skip.cells() + len(self.pending)
+        return len(self.fronts) + self.skip.cells()

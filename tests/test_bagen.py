@@ -141,13 +141,15 @@ def test_parent_then_sweep_consistency():
 
 
 def test_node_validation():
+    # A rejected call stores nothing, not even the key of a stream.
     g = BAGenerator(5, seed=0)
-    with pytest.raises(ValueError):
-        g.next_neighbor(0)
-    with pytest.raises(ValueError):
-        g.next_neighbor(6)
-    with pytest.raises(ValueError):
-        g.ba_parent(0)
+    g.next_neighbor(3)
+    cells = g.stored_cells()
+    for call, j in ((g.next_neighbor, 0), (g.next_neighbor, 6),
+                    (g.ba_parent, 0), (g.ba_parent, 6)):
+        with pytest.raises(ValueError, match="outside"):
+            call(j)
+        assert g.stored_cells() == cells
 
 
 def test_determinism():

@@ -372,8 +372,7 @@ def check_invariants(tree):
     n = tree.n
     fronted = {j for j in range(1, n + 1) if tree.fronts.get(j) is not None}
     assert set(tree.index.fronted_nodes) == fronted
-    values = sorted(tree.fronts.get(j) for j in fronted)
-    assert sorted(tree.index.front_values) == values
+    assert tree.fronts is tree.index.fronts
     owned = set()
     for j in fronted:
         f = tree.fronts.get(j)
@@ -584,6 +583,21 @@ class TestBrokenState:
         with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):
             tree.parent(2)
 
+    def test_owned_node_without_front_raises(self):
+        # Deleting an owned node's front makes it look like a chain's head,
+        # while its parent's front still names it: the invariant check sees
+        # an owned node without a front, and a scan of it finds the chain's
+        # ownership flag disagreeing with the links.
+        tree = LinkTree(30, seed=0)
+        for j in range(1, 10):
+            tree.next_child(j)
+        owned = min(f for f in tree.fronts.values() if f <= 30)
+        del tree.fronts[owned]
+        with pytest.raises(InternalConsistencyError, match="without a front"):
+            tree.check_invariants()
+        with hang_fails(), pytest.raises(InternalConsistencyError, match="out of sync"):
+            tree.next_child(owned)
+
     def test_child_dropped_from_its_list_raises(self):
         # The dropped child's link still names its parent, so the lists now
         # hold one child fewer than there are links.
@@ -710,8 +724,11 @@ class TestRRTGenerator:
         assert chi_square_gof(counts, enumerate_exact("rrt", 4), draws) > 1e-6
 
     def test_validation(self):
+        # A rejected call stores nothing, not even a cursor.
         g = RRTGenerator(5, seed=0)
-        with pytest.raises(ValueError):
-            g.next_neighbor(0)
-        with pytest.raises(ValueError):
-            g.next_neighbor(6)
+        g.next_neighbor(3)
+        cells = g.stored_cells()
+        for j in (0, 6):
+            with pytest.raises(ValueError, match="outside"):
+                g.next_neighbor(j)
+            assert g.stored_cells() == cells

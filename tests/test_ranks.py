@@ -11,7 +11,12 @@ from flygraph.ranks import SortedBlocks
 
 
 class FrontOracle:
-    """Recomputes every index query from plain front and owner dicts."""
+    """Recomputes every index query from plain front and owner dicts.
+
+    The index counts right only at rest, when every owned node has a front,
+    so queries are compared only after ``advance_cascading`` or a script
+    that fronts each fresh target in turn.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -50,15 +55,19 @@ class FrontOracle:
                     moves.append((i, new))
         return moves
 
+    def at_rest(self):
+        return all(x in self.fronts for x in self.owner)
+
     def advance_cascading(self, index, j, new, rng):
         """Advance and restore the invariant that owned targets are fronted,
-        the way the real sampler's recursion does."""
+        the way the real sampler's chain loop does."""
         self.advance(index, j, new)
         if new <= self.n and new not in self.fronts:
             self.advance_cascading(index, new, rng.choice(self.legal_moves(new))[1], rng)
 
 
 def check_all_queries(index, oracle):
+    assert oracle.at_rest()
     n = oracle.n
     for a in range(2, n + 2):
         assert index.open_parent_count(a) == oracle.open_parent_count(a), a
@@ -80,7 +89,7 @@ def check_all_queries(index, oracle):
             assert index.unskipped_count(a, b) == sum(1 for x in un if a <= x < b)
     assert set(index.skip_members) == oracle.skip()
     assert set(index.fronted_nodes) == set(oracle.fronts)
-    assert sorted(index.front_values) == sorted(oracle.fronts.values())
+    assert index.fronts == oracle.fronts
 
 
 def test_fresh_index_counts():
@@ -94,16 +103,23 @@ def test_fresh_index_counts():
 
 
 def test_worked_blocking_examples():
+    # The chain 2 -> 7 -> 10 blocks 5 through its link 2 -> 7 ...
     index = CandidateIndex(9)
     oracle = FrontOracle(9)
     oracle.advance(index, 2, 7)
+    oracle.advance(index, 7, 10)
     assert index.open_parent_count(5) == 3
+    assert index.open_parent_count(8) == 6
     check_all_queries(index, oracle)
 
+    # ... and 2 -> 3 -> 10 through 3 -> 10, which also blocks 4 but not 3.
     index = CandidateIndex(9)
     oracle = FrontOracle(9)
     oracle.advance(index, 2, 3)
-    assert index.open_parent_count(5) == 4
+    oracle.advance(index, 3, 10)
+    assert index.open_parent_count(5) == 3
+    assert index.open_parent_count(4) == 2
+    assert index.open_parent_count(3) == 1
     check_all_queries(index, oracle)
 
 
@@ -112,12 +128,12 @@ def test_skip_set_membership_tracks_owners():
     index = CandidateIndex(n)
     oracle = FrontOracle(n)
     oracle.advance(index, 3, 10)
-    assert index.in_skip_set(3)
+    assert 3 in index.skip
     oracle.advance(index, 1, 3)
-    assert index.in_skip_set(1)
-    assert not index.in_skip_set(3)
+    assert 1 in index.skip
+    assert 3 not in index.skip
     oracle.advance(index, 1, 10)
-    assert index.in_skip_set(3)
+    assert 3 in index.skip
     check_all_queries(index, oracle)
 
 
@@ -143,6 +159,14 @@ def test_monotonicity_enforced():
         index.on_front_advance(2, 4, 3, False)
     with pytest.raises(InternalConsistencyError):
         index.on_front_advance(3, None, None, False)
+
+
+def test_old_target_without_front_raises():
+    # 4 is owned but not fronted yet; moving past it breaks the chain.
+    index = CandidateIndex(5)
+    index.on_front_advance(2, None, 4, False)
+    with pytest.raises(InternalConsistencyError, match="has no front"):
+        index.on_front_advance(2, 4, 5, False)
 
 
 def test_open_parent_count_domain():
