@@ -2,8 +2,8 @@
 
 Everything here materializes a complete sample up front, the way the lazy
 generators must behave jointly.  The batch samplers serve as statistical
-oracles at large n; the enumerators produce the exact outcome law as
-fractions for small n and anchor the distribution tests.
+oracles at large n; the enumerator produces the exact outcome law as
+fractions for small n and anchors the distribution tests.
 
 Outcomes are parent vectors: entry j-2 of the tuple is the parent of node j
 (the attachment target for the graph models, the tree parent for recursive
@@ -12,15 +12,11 @@ trees).  Node 1 is omitted; its edge is the self-loop or the root.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .randomness import BitSource, DIRECT
-
-_MODELS = ("ba", "z", "rrt")
 
 
 @dataclass(frozen=True)
@@ -105,50 +101,31 @@ BATCH_SAMPLERS = {"ba": batch_ba, "z": batch_z, "rrt": batch_rrt}
 def enumerate_exact(model: str, n: int) -> dict:
     """Exact outcome law as ``{parent tuple: Fraction}``; supports n <= 8.
 
-    The attachment law is walked sequentially with running degrees; the
-    copying law is summed over every (pick, flag) tape; recursive trees are
-    uniform.  Probabilities sum to 1 exactly.
+    One forward pass over outcome prefixes.  With ``heads = (0, 1) + prefix``,
+    each arriving node j extends every prefix by each of its equally likely
+    choices, read off its own model: any earlier node for ``rrt``; an endpoint
+    of an edge so far for ``ba``, node 1's self-loop counted twice; one entry
+    per (pick u, flag) pair for ``z``, where a copy takes ``heads[u]``.
+    Repeated choices add up, and probabilities sum to 1 exactly.
     """
-    if model not in _MODELS:
+    if model not in BATCH_SAMPLERS:
         raise ValueError(f"unknown model {model!r}")
     if not 1 <= n <= 8:
         raise ValueError("exact enumeration supports 1 <= n <= 8")
-    if n == 1:
-        return {(): Fraction(1)}
-
-    if model == "rrt":
-        total = prod(j - 1 for j in range(2, n + 1))
-        ranges = [range(1, j) for j in range(2, n + 1)]
-        return {tup: Fraction(1, total) for tup in itertools.product(*ranges)}
-
-    if model == "ba":
-        law = {}
-
-        def extend(j, degrees, prefix, probability):
-            if j > n:
-                law[prefix] = law.get(prefix, 0) + probability
-                return
-            total = 2 * (j - 1)
-            for p in range(1, j):
-                if degrees[p]:
-                    nxt = list(degrees)
-                    nxt[p] += 1
-                    nxt.append(1)
-                    extend(j + 1, nxt, prefix + (p,),
-                           probability * Fraction(degrees[p], total))
-
-        extend(2, [0, 2], (), Fraction(1))
-        return law
-
-    tapes = prod(2 * (j - 1) for j in range(2, n + 1))
-    law = {}
-    pick_ranges = [range(1, j) for j in range(2, n + 1)]
-    flag_ranges = [range(2)] * (n - 1)
-    for picks in itertools.product(*pick_ranges):
-        for flags in itertools.product(*flag_ranges):
-            heads = [0, 1]
-            for u, flag in zip(picks, flags):
-                heads.append(u if flag == 0 else heads[u])
-            outcome = tuple(heads[2:])
-            law[outcome] = law.get(outcome, 0) + Fraction(1, tapes)
+    law = {(): Fraction(1)}
+    for j in range(2, n + 1):
+        extended = {}
+        for prefix, probability in law.items():
+            heads = (0, 1) + prefix
+            if model == "rrt":
+                choices = range(1, j)
+            elif model == "ba":
+                choices = [1, 1] + [v for i in range(2, j) for v in (i, heads[i])]
+            else:
+                choices = [v for u in range(1, j) for v in (u, heads[u])]
+            share = probability / len(choices)
+            for choice in choices:
+                outcome = prefix + (choice,)
+                extended[outcome] = extended.get(outcome, 0) + share
+        law = extended
     return law

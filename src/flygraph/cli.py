@@ -33,13 +33,6 @@ TV_THRESHOLD = 0.015
 P_THRESHOLD = 0.001
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def _read_queries_file(path: str, n: int):
     queries = []
     try:
@@ -62,6 +55,18 @@ def _read_queries_file(path: str, n: int):
             raise SystemExit(1)
         queries.append(j)
     return queries
+
+
+def _fit(counts: dict, exact: dict, trials: int):
+    """Total variation and chi-square p-value of ``counts`` against ``exact``.
+
+    The p-value is None when too few cells remain after merging.
+    """
+    tv = float(tv_distance(empirical_law(counts, trials), exact))
+    try:
+        return tv, chi_square_gof(counts, exact, trials)
+    except ValueError:
+        return tv, None
 
 
 def _cmd_sample(args) -> int:
@@ -108,11 +113,7 @@ def _cmd_compare(args) -> int:
         gen = GENERATORS[args.model](args.n, args.seed + i)
         outcome = reconstruct_via_sweep(gen, args.model, args.schedule).outcome()
         counts[outcome] = counts.get(outcome, 0) + 1
-    tv = float(tv_distance(empirical_law(counts, args.trials), exact))
-    try:
-        p_value = chi_square_gof(counts, exact, args.trials)
-    except ValueError:
-        p_value = None
+    tv, p_value = _fit(counts, exact, args.trials)
     passed = tv < TV_THRESHOLD and (p_value is None or p_value > P_THRESHOLD)
     if args.output == "json":
         print(json.dumps({
@@ -147,11 +148,7 @@ def _cmd_stats(args) -> int:
     tv = chi2_p = None
     if args.n <= 8:
         exact = enumerate_exact(args.model, args.n)
-        tv = float(tv_distance(empirical_law(outcome_counts, args.seeds), exact))
-        try:
-            chi2_p = chi_square_gof(outcome_counts, exact, args.seeds)
-        except ValueError:
-            chi2_p = None
+        tv, chi2_p = _fit(outcome_counts, exact, args.seeds)
 
     height_mean = sum(heights) / len(heights)
     if args.output == "json":
@@ -194,7 +191,7 @@ def _cmd_bench(args) -> int:
 
 
 def _add_common(sub, trials=False, seeds=False):
-    sub.add_argument("--model", choices=("ba", "z", "rrt"), default="ba")
+    sub.add_argument("--model", choices=tuple(GENERATORS), default="ba")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", choices=("text", "json"), default="text")
@@ -205,8 +202,8 @@ def _add_common(sub, trials=False, seeds=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flygraph",
-                     description="On-the-fly random graph sampler.")
+    parser = argparse.ArgumentParser(prog="flygraph",
+                                     description="On-the-fly random graph sampler.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_sample = subs.add_parser("sample", help="drive the lazy sampler")
@@ -243,7 +240,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        return 0 if exc.code == 0 else 1
     for name in ("n", "trials", "seeds", "queries"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

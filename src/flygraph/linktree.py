@@ -211,7 +211,8 @@ class LinkTree:
         Known children up to the front are read in one pass over j's child
         set; only past the front does it scan, so nothing below k is redrawn.
         Probes may not run ahead: k <= front(j), or k == j before any scan.
-        A walk that reaches n ends there; a scan would move front(j) to n+1.
+        A front at or past n ends the stream after the walk, and so does a
+        scan that answers n: one more scan would move front(j) to n+1.
         """
         n, links = self.n, self.links
         if not 1 <= j <= n:
@@ -229,9 +230,7 @@ class LinkTree:
                     break
                 if flag is None or links[x] & 1 == flag:
                     return x
-                if x == n:
-                    return n + 1
-            if front > n:
+            if front >= n:
                 return n + 1
         while True:
             x = self.next_child(j)
@@ -340,8 +339,6 @@ class RRTGenerator:
             answer = self.tree.parent(j)[0]
             self._cursor[j] = j
             return answer
-        if cur > self.n:
-            return self.n + 1
         r = self.tree.next_child_from(j, cur)
         self._cursor[j] = r
         return r

@@ -206,10 +206,12 @@ def reconstruct_via_sweep(gen, model: str, schedule: str = "sweep") -> GraphSamp
                     f"child answer {value} for {j} after {prev}")
             children[j].append(value)
 
+    expected = {j: [] for j in range(1, n + 1)}
+    for c in range(2, n + 1):
+        expected[parents[c]].append(c)
     for j in range(1, n + 1):
-        expected = [c for c in range(2, n + 1) if parents[c] == j]
-        if children[j] != expected:
+        if children[j] != expected[j]:
             raise InternalConsistencyError(
-                f"children of {j}: stream {children[j]}, parents say {expected}")
+                f"children of {j}: stream {children[j]}, parents say {expected[j]}")
     parents[1] = 1
     return GraphSample(model, n, tuple(parents))

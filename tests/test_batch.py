@@ -1,5 +1,6 @@
 """Batch samplers and exact enumeration."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +12,20 @@ from flygraph import (BATCH_SAMPLERS, GraphSample, batch_ba, batch_rrt,
 
 
 def test_attachment_and_copying_laws_coincide_exactly():
-    for n in range(2, 7):
+    for n in range(2, 9):
         assert enumerate_exact("ba", n) == enumerate_exact("z", n)
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("ba", "ddd764c28d86e86b97eee4da092354cc"),
+    ("z", "ddd764c28d86e86b97eee4da092354cc"),
+    ("rrt", "cbf8f109e035c1ff5d9c0d135cf8aa87"),
+])
+def test_eight_node_law_digest(model, digest):
+    h = hashlib.blake2b(digest_size=16)
+    for outcome, p in sorted(enumerate_exact(model, 8).items()):
+        h.update(f"{outcome} {p.numerator}/{p.denominator};".encode())
+    assert h.hexdigest() == digest
 
 
 def test_laws_sum_to_one():

@@ -154,3 +154,13 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "sample", "--model", "ba", "--n", "0")
     assert code == 1
     assert "positive" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: flygraph")
+    assert err == ""
+    code, out, _ = run(capsys, "compare", "--help")
+    assert code == 0
+    assert "{ba,z,rrt}" in out
