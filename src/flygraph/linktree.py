@@ -184,14 +184,11 @@ class LinkTree:
             if h == s:
                 x = b
                 break
-            # The (h+1)-th unskipped position at or after a: the least
-            # fixpoint of x = a + h + |skip in [a, x]|, iterated up from a + h.
-            r = a + h - ka
-            x = a + h
-            while (x2 := r + skip.bisect_right(x)) != x:
-                x = x2
-            if x >= b:
-                raise InternalConsistencyError(f"scan of {j} selected {x} >= {b}")
+            # The (h+1)-th unskipped position at or after a: the least x with
+            # x - |skip <= x| = a + h - ka, and a + h lies at or below it.
+            x = skip.select_outside(a + h - ka, a + h)
+            if not a <= x < b:
+                raise InternalConsistencyError(f"scan of {j} selected {x} outside [{a}, {b})")
             if x not in links:
                 links[x] = j << 1 | self.source.uniform_flag()
                 self.children.insert(j, x)

@@ -21,7 +21,10 @@ fronts and keeps the skip set in step from
 
 The skip set is a :class:`SortedBlocks`, sorted blocks under a Fenwick tree
 of their sizes: a rank costs two C bisections and O(log B) additions for B
-blocks, and an add or remove updates the counts in place.
+blocks, and an add or remove updates the counts in place.  A select, the
+r-th position outside the set, costs at most three C bisections and
+O(log B + log BLOCK_LOAD) Python steps, however dense the set is: a scan
+step makes one, where a fixpoint over ranks would pass the set run by run.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ class SortedBlocks:
     holds each block's largest member, and ``_tree`` is a Fenwick tree over
     the block sizes, so the members in blocks before block k sum in
     O(log B) for B blocks.  ``add`` and ``remove`` update one Fenwick path;
-    the tree is rebuilt only when a block splits or empties.  The methods
-    that exist keep ``sortedcontainers.SortedList``'s names and answers.
+    the tree is rebuilt only when a block splits or empties.  The rank
+    and edit methods keep ``sortedcontainers.SortedList``'s names and
+    answers; ``select_outside``, which it lacks, searches the members
+    below an answer by bisection and one Fenwick descent.
     """
 
     __slots__ = ("_lists", "_maxes", "_tree", "_len")
@@ -99,6 +104,65 @@ class SortedBlocks:
             rank += tree[k]
             k &= k - 1
         return rank
+
+    def select_outside(self, rank: int, start: int) -> int:
+        """Least y with y - |members <= y| == rank: the rank-th position outside.
+
+        Needs distinct integer members and ``start`` at or below the answer,
+        which places the search in start's block.  Member i (global sorted
+        index) lies below the answer iff ``member_i - i <= rank``, a test
+        that is monotone in i, so the members below are counted by search.
+        Cost: at most three C bisections and O(log B + log BLOCK_LOAD) Python
+        steps, however dense the members are around the answer.
+        """
+        maxes = self._maxes
+        k = bisect_left(maxes, start)
+        if k == len(maxes):
+            return rank + self._len
+        tree = self._tree
+        base = rank
+        i = k
+        while i:
+            base += tree[i]
+            i &= i - 1
+        block = self._lists[k]
+        # Sparse case: two fixpoint steps of y = base + |block <= y| from
+        # start.  The block holds every member <= y while y is within it, or
+        # when no block follows.
+        y = base + bisect_right(block, start)
+        if y == start:
+            return y
+        c = bisect_right(block, y)
+        last = len(block) - 1
+        if base + c == y and (y <= block[last] or k == len(maxes) - 1):
+            return y
+        if block[last] - last <= base:
+            # Every member of the start's block lies below the answer: find
+            # the answer's block by Fenwick descent over the block sizes.
+            size = len(maxes)
+            k = base = 0
+            step = 1 << (size.bit_length() - 1)
+            while step:
+                nxt = k + step
+                if nxt <= size and maxes[nxt - 1] - (base + tree[nxt]) < rank:
+                    k = nxt
+                    base += tree[nxt]
+                step >>= 1
+            if k == size:
+                return rank + self._len
+            block = self._lists[k]
+            base += rank
+            c = 0
+            last = len(block) - 1
+        # Members before index c lie below the answer and block[last] above
+        # it: bisect for the first one above.
+        while c < last:
+            mid = (c + last) >> 1
+            if block[mid] - mid <= base:
+                c = mid + 1
+            else:
+                last = mid
+        return base + c
 
     def add(self, value) -> None:
         lists, maxes = self._lists, self._maxes
@@ -203,22 +267,14 @@ class CandidateIndex:
     def unskipped_select(self, s: int) -> int:
         """The (s+1)-th smallest position in [1, n+1] outside the skip set.
 
-        The answer is the least fixpoint of c = s + 1 + |skip <= c|, reached
-        by iterating upward from c = s + 1; each round accounts for the skip
-        members the previous candidate jumped over, so the loop runs once
-        plus once per skip member between the start and the answer.
+        One :meth:`SortedBlocks.select_outside` from s + 1, which lies at or
+        below the answer since every skip member is at least 1.
         """
         skip = self.skip
         total = (self.n + 1) - len(skip)
         if not 0 <= s < total:
             raise IndexError(f"select rank {s} outside [0, {total})")
-        bisect = skip.bisect_right
-        c = s + 1
-        while True:
-            c2 = s + 1 + bisect(c)
-            if c2 == c:
-                return c
-            c = c2
+        return skip.select_outside(s + 1, s + 1)
 
     def unskipped_after(self, a: int, h: int) -> int:
         """The (h+1)-th unskipped position at or after a."""

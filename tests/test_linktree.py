@@ -548,28 +548,36 @@ def hang_fails(seconds=10):
 
 
 class MiscountingSkip(SortedBlocks):
-    """Skip set whose bisect_right is off by ``shift``."""
+    """Skip set whose bisect_right is off by ``shift``, and so its select.
+
+    A count of members at or below y that is ``shift`` too high solves
+    y - |members <= y| = rank for rank + ``shift``.
+    """
 
     shift = 0
 
     def bisect_right(self, value):
         return max(0, super().bisect_right(value) + self.shift)
 
+    def select_outside(self, rank, start):
+        return super().select_outside(rank + self.shift, start)
+
 
 class TestBrokenState:
     """A contradiction inside the tree raises instead of spinning or answering."""
 
-    @pytest.mark.parametrize("shift,error", [(-1, "passed"), (1, "selected")])
-    def test_scan_over_miscounting_skip_set_raises(self, shift, error):
-        # One short, the select walks back below the scan start, which used
-        # to loop forever; one over, it lands at or past the next child.
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_scan_over_miscounting_skip_set_raises(self, shift):
+        # One short, the select lands below the scan start, where a scan
+        # would relink a node it has passed; one over, it lands at or past
+        # the next child.  Both leave the scan's range [a, b).
         tree = LinkTree(30, seed=0)
         for j in range(1, 10):
             tree.next_child(j)
         skip = MiscountingSkip(tree.index.skip)
         skip.shift = shift
         tree.index.skip = skip
-        with hang_fails(), pytest.raises(InternalConsistencyError, match=error):
+        with hang_fails(), pytest.raises(InternalConsistencyError, match="outside"):
             for j in range(1, 31):
                 while tree.next_child(j) <= 30:
                     pass

@@ -209,12 +209,40 @@ def test_randomized_advance_sequences(n, seed, steps):
         check_all_queries(index, oracle)
 
 
-def check_blocks(blocks, plain, probes):
+def select_outside_brute(plain, rank):
+    """Least y with y - |plain <= y| == rank, by trying each count k of
+    members at or below it in turn."""
+    for k in range(len(plain) + 1):
+        if bisect_right(plain, rank + k) == k:
+            return rank + k
+
+
+def check_blocks(blocks, plain, probes, select_ranks=None, starts=None):
+    """Compare every query with the plain sorted list.
+
+    The select is checked at each rank in ``select_ranks`` (by default every
+    rank from 1 whose answer lies within the probes) from each start that
+    ``starts(answer)`` gives (by default every start from 1 to the answer).
+    """
     assert list(blocks) == plain and len(blocks) == len(plain)
     for v in probes:
         assert blocks.bisect_left(v) == bisect_left(plain, v), v
         assert blocks.bisect_right(v) == bisect_right(plain, v), v
         assert (v in blocks) == (v in plain), v
+    if select_ranks is None:
+        select_ranks = range(1, max(probes) - bisect_right(plain, max(probes)) + 1)
+    for r in select_ranks:
+        answer = select_outside_brute(plain, r)
+        for x in (range(1, answer + 1) if starts is None else starts(answer)):
+            assert blocks.select_outside(r, x) == answer, (r, x)
+
+
+def block_edge_starts(blocks):
+    """Starts at 1, around each block's ends and just below the answer."""
+    edges = [1]
+    for block in blocks._lists:
+        edges += (block[0] - 1, block[0], block[-1], block[-1] + 1)
+    return lambda answer: [x for x in edges if 1 <= x <= answer] + [answer - 1, answer]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -259,8 +287,47 @@ def test_sorted_blocks_at_full_load():
         insort(plain, v)
     assert len(blocks._lists) > 3
     probes = [-1, 10**6] + rng.sample(range(10**6), 200) + plain[::97]
-    check_blocks(blocks, plain, probes)
+    sample = [v - bisect_right(plain, v) for v in probes if v >= 1]
+    check_blocks(blocks, plain, probes, sample, block_edge_starts(blocks))
     for v in values[: 4 * ranks.BLOCK_LOAD]:
         blocks.remove(v)
         plain.remove(v)
-    check_blocks(blocks, plain, probes)
+    check_blocks(blocks, plain, probes, sample, block_edge_starts(blocks))
+
+
+def test_select_outside_crosses_block_boundaries(monkeypatch):
+    # The answer 40 lies past the start's block [10, 20, 30, 36] and past
+    # the whole next block [38, 39]: stopping at the end of the start's
+    # block gives the member 38.
+    monkeypatch.setattr(ranks, "BLOCK_LOAD", 4)
+    blocks = SortedBlocks([10, 20, 30, 36, 38, 39])
+    assert blocks._lists == [[10, 20, 30, 36], [38, 39]]
+    assert [blocks.select_outside(34, x) for x in (1, 31, 36, 37, 40)] == [40] * 5
+    # Every member of a run of 100,000 lies below the answer; a search
+    # that ends at the first block's end gives 1,002.
+    monkeypatch.setattr(ranks, "BLOCK_LOAD", 1000)
+    blocks = SortedBlocks(range(1, 100_001))
+    assert [blocks.select_outside(2, x) for x in (1, 2, 1000, 99_999)] == [100_002] * 4
+    assert blocks.select_outside(1, 100_001) == 100_001
+
+
+def test_select_past_a_long_run_makes_few_bisections(monkeypatch):
+    # 100,000 consecutive skip members: a fixpoint select steps past them
+    # one member at a time, 200,000 bisections; this one makes a few.
+    n = 200_000
+    index = CandidateIndex(n)
+    for i in range(1, 100_001):
+        index.on_front_advance(i, None, n + 1, False)
+    calls = []
+
+    def counted(bisect):
+        def wrapper(*args):
+            calls.append(bisect)
+            return bisect(*args)
+        return wrapper
+
+    monkeypatch.setattr(ranks, "bisect_left", counted(bisect_left))
+    monkeypatch.setattr(ranks, "bisect_right", counted(bisect_right))
+    assert index.unskipped_select(0) == 100_001
+    assert index.unskipped_select(5) == 100_006
+    assert len(calls) <= 64
