@@ -8,18 +8,18 @@ then the nodes that attached to j, in increasing order, ending with n+1
 repeated forever.
 
 A node's attachment children split into streams the link tree can enumerate
-directly: its own direct-flagged children, plus, for every attachment child
-already discovered, that child's copy-flagged children (copying a node's
-edge lands on the same head).  The streams are strictly increasing and
-pairwise disjoint, so a binary heap merges them without duplicates; each
-emitted child opens its own copy stream.  Node 1 additionally owns its
-copy-flagged children outright, because copying the self-loop stays at 1.
+directly: its own direct-flagged children, plus each answered child's
+copy-flagged children (copying a node's edge lands on the same head); node
+1 also owns its copy-flagged children, as copying the self-loop stays at 1.
+The streams are strictly increasing and disjoint, so a heap merges them.
 
-The first call answers the target alone and opens no stream: the streams
-open on the second call, so a node asked once costs its copy chain and one
-marker, never a scan for a child nobody asked for.  Every answer is read
-off the one lazily sampled link tree, so deferring the scans changes which
-bits feed which link, not the law.
+A scan waits for the call whose answer needs it.  The first call answers
+the target alone and the second opens the streams.  An answer stays at the
+heap's top until the node's next call pops it, reads the next head of its
+stream and opens its copy stream.  So a node asked once costs its copy
+chain and one marker, and every later call pays for its own answer only.
+The answers are read off the one lazily sampled link tree, so deferring
+the scans changes which bits feed which link, not the law.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class BAGenerator:
     def next_neighbor(self, j: int) -> int:
         """Next neighbor of j: attachment target first, then children, then n+1.
 
-        The first call answers ``ba_parent(j)`` and leaves j's streams closed;
-        the second opens them and answers the least child.
+        The first call answers ``ba_parent(j)``, the second opens j's streams.
+        An answered child stays atop j's heap until the next call pops it,
+        reads its stream's next head and opens the child's copy stream.
         """
         heaps = self._heaps
         heap = heaps.get(j)
@@ -71,21 +72,18 @@ class BAGenerator:
                 head = tree.next_child_typed(1, 1, COPY)
                 if head <= n:
                     heapq.heappush(heap, head)
-            heaps[j] = heap or _ENDED
-        if not heap:
-            return n + 1
-        answer = heapq.heappop(heap)
-        link = tree.links[answer]
-        if link & 1 == DIRECT:
-            head = tree.next_child_typed(j, answer, DIRECT)
-        else:
-            head = tree.next_child_typed(link >> 1, answer, COPY)
-        for x in (head, tree.next_child_typed(answer, answer, COPY)):
-            if x <= n:
-                heapq.heappush(heap, x)
-        if not heap:
-            heaps[j] = _ENDED
-        return answer
+        elif heap:
+            last = heapq.heappop(heap)
+            link = tree.links[last]
+            if link & 1 == DIRECT:
+                head = tree.next_child_typed(j, last, DIRECT)
+            else:
+                head = tree.next_child_typed(link >> 1, last, COPY)
+            for x in (head, tree.next_child_typed(last, last, COPY)):
+                if x <= n:
+                    heapq.heappush(heap, x)
+        heaps[j] = heap or _ENDED
+        return heap[0] if heap else n + 1
 
     @property
     def bits_consumed(self) -> int:

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 
 from flygraph import (BAGenerator, chi_square_gof, enumerate_exact,
                       reconstruct_via_sweep)
+from flygraph.randomness import COPY, DIRECT
 
 
 def drain(gen, j):
@@ -81,17 +82,20 @@ def test_sweep_law_matches_exact(n, draws):
     assert chi_square_gof(counts, law, draws) > 1e-6
 
 
-def decreasing_outcome(gen):
-    """Every node's first answer in decreasing node order, then every stream
-    read to n+1 in decreasing order; the parents, checked against the streams."""
+def decreasing_outcome(gen, calls=1):
+    """Every node's first ``calls`` answers in decreasing node order, then
+    every stream read to n+1 in decreasing order; the parents, checked
+    against the streams."""
     n = gen.n
-    parents = [0] * (n + 1)
+    parents, later = [0] * (n + 1), [()] * (n + 1)
     for j in range(n, 0, -1):
         parents[j] = gen.next_neighbor(j)
+        later[j] = [gen.next_neighbor(j) for _ in range(calls - 1)]
     assert parents[1] == 1 and all(1 <= parents[j] < j for j in range(2, n + 1))
-    assert not gen.tree.fronts, "a first answer scanned for a child"
+    if calls == 1:
+        assert not gen.tree.fronts, "a first answer scanned for a child"
     for j in range(n, 0, -1):
-        kids = []
+        kids = [x for x in later[j] if x <= n]
         while (x := gen.next_neighbor(j)) <= n:
             kids.append(x)
         assert kids == [c for c in range(2, n + 1) if parents[c] == j]
@@ -108,6 +112,17 @@ def test_decreasing_first_answers_law_matches_exact(n, draws):
     assert chi_square_gof(counts, law, draws) > 1e-6
 
 
+@pytest.mark.parametrize("n,draws", [(4, 40_000), (5, 40_000)])
+def test_decreasing_second_answers_law_matches_exact(n, draws):
+    # Every node's second answer is left on its heap, its two streams unread,
+    # while the other nodes open theirs: the expansions stay outstanding
+    # across nodes until each stream is read to its end.
+    law = enumerate_exact("ba", n)
+    counts = Counter(decreasing_outcome(BAGenerator(n, seed=s), calls=2)
+                     for s in range(draws))
+    assert chi_square_gof(counts, law, draws) > 1e-6
+
+
 @pytest.mark.parametrize("j", [1, 2, random.Random(11).randrange(3, 10**6 + 1)])
 def test_first_call_answers_target_without_scanning(j):
     n = 10**6
@@ -116,6 +131,22 @@ def test_first_call_answers_target_without_scanning(j):
     assert lazy.bits_consumed == twin.bits_consumed
     assert lazy.tree.links == twin.tree.links
     assert j not in lazy.tree.fronts
+
+
+@pytest.mark.parametrize("j", [1, 2, random.Random(11).randrange(3, 10**6 + 1)])
+def test_second_call_answers_least_head_with_one_walk_per_stream(j):
+    # The second answer reads j's own streams once each and does not read
+    # the streams that answer feeds: those wait for the third call.
+    n = 10**6
+    lazy, twin = BAGenerator(n, seed=j), BAGenerator(n, seed=j)
+    answers = (lazy.next_neighbor(j), lazy.next_neighbor(j))
+    target = twin.ba_parent(j)
+    head = twin.tree.next_child_typed(j, j, DIRECT)
+    if j == 1:
+        head = min(head, twin.tree.next_child_typed(1, 1, COPY))
+    assert answers == (target, head)
+    assert lazy.bits_consumed == twin.bits_consumed
+    assert lazy.tree.links == twin.tree.links
 
 
 def test_roundrobin_law_matches_exact():
