@@ -6,10 +6,9 @@ Subcommands:
 * ``batch``    sample one whole graph up front and print it.
 * ``compare``  empirical law of full sweeps against the exact law (small n).
 * ``stats``    summary statistics over many batch samples.
-* ``bench``    timing and resource figures for the on-the-fly sampler (JSON).
 
-Text output is deterministic for fixed arguments; wall-clock figures appear
-only in JSON output.  Exit codes: 0 success, 1 usage or input errors, 2
+Output is deterministic for fixed arguments; per-query timing lives in
+``bench/run.py``.  Exit codes: 0 success, 1 usage or input errors, 2
 distribution check failed.
 """
 
@@ -17,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 
 from .bagen import BAGenerator
 from .batch import BATCH_SAMPLERS, enumerate_exact
@@ -169,27 +166,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    gen = GENERATORS[args.model](args.n, args.seed)
-    rng = random.Random(args.seed)
-    nodes = [rng.randrange(1, args.n + 1) for _ in range(args.queries)]
-    start = time.perf_counter()
-    for j in nodes:
-        gen.next_neighbor(j)
-    elapsed = time.perf_counter() - start
-    tree = gen.tree
-    print(json.dumps({
-        "model": args.model, "n": args.n, "queries": args.queries,
-        "seed": args.seed,
-        "bits_per_query_mean": gen.bits_consumed / args.queries,
-        "time_per_query_ns": elapsed / args.queries * 1e9,
-        "stored_cells": gen.stored_cells(),
-        "max_scan_iterations": tree.scan_loop_max,
-        "max_recursion_depth": tree.max_recursion_depth,
-    }))
-    return 0
-
-
 def _add_common(sub, trials=False, seeds=False):
     sub.add_argument("--model", choices=tuple(GENERATORS), default="ba")
     sub.add_argument("--n", type=int, required=True)
@@ -227,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = subs.add_parser("stats", help="summary statistics")
     _add_common(p_stats, seeds=True)
     p_stats.set_defaults(func=_cmd_stats)
-
-    p_bench = subs.add_parser("bench", help="sampler cost figures (JSON)")
-    _add_common(p_bench)
-    p_bench.add_argument("--queries", type=int, default=10000)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -241,7 +212,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    for name in ("n", "trials", "seeds", "queries"):
+    for name in ("n", "trials", "seeds"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             sys.stderr.write(f"--{name} must be positive\n")

@@ -128,75 +128,79 @@ class LinkTree:
     def next_child(self, j: int) -> int:
         """Least undiscovered child of j; n+1 once none remain.
 
-        Commits the scan: front(j) advances to the answer in every return
-        path, settling the stretch below it for good.  A fresh front target
-        is owned by the node just scanned but has no front, so it gets one by
-        a scan of its own that is told so, and so on down the chain, which
-        keeps the index's counts valid; the chain is a loop, not a recursion.
+        Commits the scan: front(j) advances to the answer, settling the
+        stretch below it for good.  An answer with no front yet is a fresh
+        target, owned by j but not fronted, so the loop scans it next, and so
+        on down the chain until a scan answers n+1 or a fronted node.
+        ``owned`` is False for the chain's head and True for each fresh
+        target, whose chain head the skip set counts as blocking though the
+        chain ends at the target: the open count adds that one back.  Owners
+        are derived: a front target's owner is its parent, whenever that
+        parent's front is the target, and a first front checks ``owned``
+        against it.
         """
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        answer = x = self._scan(j, False)
-        chain = 0
-        while x <= self.n and x not in self.fronts:
+        n, links, fronts = self.n, self.links, self.fronts
+        if not 1 <= j <= n:
+            raise ValueError(f"node {j} outside [1, {n}]")
+        if j > 1 and j not in links:
+            self.parent(j)
+        front = fronts.get(j)
+        if front is not None and front > n:
+            return n + 1
+        skip, children = self.index.skip, self.children
+        owned, chain = False, 0
+        while True:
+            base = j if front is None else front
+            a = base + 1
+            b = children.first_above(j, base)
+            # One bisection at a gives both counts of a step; the one at b serves all.
+            kb = len(skip) if b > n else skip.bisect_left(b)
+            # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
+            limit = len(links) + 1
+            steps = 0
+            while True:
+                steps += 1
+                if steps > limit:
+                    raise InternalConsistencyError(f"scan of {j} passed {limit} steps")
+                ka = skip.bisect_left(a)
+                s = (b - a) - (kb - ka)
+                if s == 0:
+                    h = 0
+                else:
+                    open_count = (a - 1) - ka + owned
+                    h = sample_candidate_rank(self.source, open_count, s + 1)
+                if h == s:
+                    x = b
+                    break
+                # The (h+1)-th unskipped position at or after a: the least x with
+                # x - |skip <= x| = a + h - ka, and a + h lies at or below it.
+                x = skip.select_outside(a + h - ka, a + h)
+                if not a <= x < b:
+                    raise InternalConsistencyError(f"scan of {j} selected {x} outside [{a}, {b})")
+                if x not in links:
+                    links[x] = j << 1 | self.source.uniform_flag()
+                    children.insert(j, x)
+                    break
+                a = x + 1
+            self.scan_loop_max = max(self.scan_loop_max, steps)
+            for target in (front, x):
+                if target is not None and target <= n and links.get(target, 0) >> 1 != j:
+                    raise InternalConsistencyError(
+                        f"front target {target} of {j} is not its child")
+            if front is None:
+                link = links.get(j)
+                if owned != (link is not None and fronts.get(link >> 1) == j):
+                    raise InternalConsistencyError(f"owner of {j} out of sync with the chain")
+            self.index.on_front_advance(j, front, x, owned)
+            if not owned:
+                answer = x
+            if x > n or x in fronts:
+                break
+            j, front, owned = x, None, True
             chain += 1
-            x = self._scan(x, True)
         if chain > self.max_recursion_depth:
             self.max_recursion_depth = chain
         return answer
-
-    def _scan(self, j: int, owned: bool) -> int:
-        """One scan of j: the least undiscovered child, with front(j) moved to it.
-
-        ``owned`` says that j is a fresh front target, owned but not fronted:
-        the skip set counts the head of j's chain as blocking, though the
-        chain ends at j and blocks nothing above it, so the open count adds
-        one back.  Unchecked: j is a node of [1, n], validated by the caller.
-        """
-        n, links = self.n, self.links
-        if j > 1 and j not in links:
-            self.parent(j)
-        front = self.fronts.get(j)
-        if front is not None and front >= n:
-            if front == n:
-                self._advance_front(j, front, n + 1, owned)
-            return n + 1
-        base = j if front is None else front
-        a = base + 1
-        b = self.children.first_above(j, base)
-        skip = self.index.skip
-        # One bisection at a gives both counts of a step; the one at b serves all.
-        kb = len(skip) if b > n else skip.bisect_left(b)
-        # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
-        limit = len(links) + 1
-        steps = 0
-        while True:
-            steps += 1
-            if steps > limit:
-                raise InternalConsistencyError(f"scan of {j} passed {limit} steps")
-            ka = skip.bisect_left(a)
-            s = (b - a) - (kb - ka)
-            if s == 0:
-                h = 0
-            else:
-                open_count = (a - 1) - ka + owned
-                h = sample_candidate_rank(self.source, open_count, s + 1)
-            if h == s:
-                x = b
-                break
-            # The (h+1)-th unskipped position at or after a: the least x with
-            # x - |skip <= x| = a + h - ka, and a + h lies at or below it.
-            x = skip.select_outside(a + h - ka, a + h)
-            if not a <= x < b:
-                raise InternalConsistencyError(f"scan of {j} selected {x} outside [{a}, {b})")
-            if x not in links:
-                links[x] = j << 1 | self.source.uniform_flag()
-                self.children.insert(j, x)
-                break
-            a = x + 1
-        self.scan_loop_max = max(self.scan_loop_max, steps)
-        self._advance_front(j, front, x, owned)
-        return x
 
     def next_child_from(self, j: int, k: int) -> int:
         """Least child of j strictly above k, whatever its flag."""
@@ -245,28 +249,6 @@ class LinkTree:
     def rrt_next_child(self, j: int, k: int) -> int:
         """Children of j in the random recursive tree, flags ignored."""
         return self.next_child_from(j, k)
-
-    # -- internals ----------------------------------------------------------
-
-    def _advance_front(self, j: int, old, new: int, owned: bool) -> None:
-        """Move front(j) to ``new`` and keep every dependent structure in step.
-
-        Front targets are children of the node fronting them, so the owner of
-        a target x is its parent, whenever that parent's front is x.  At j's
-        first front, ``owned`` from the chain must agree with that.  The
-        candidate index moves the front; an unfronted target is left to
-        :meth:`next_child`, which fronts it next.
-        """
-        n, links = self.n, self.links
-        for target in (old, new):
-            if target is not None and target <= n and links.get(target, 0) >> 1 != j:
-                raise InternalConsistencyError(
-                    f"front target {target} of {j} is not its child")
-        if old is None:
-            link = links.get(j)
-            if owned != (link is not None and self.fronts.get(link >> 1) == j):
-                raise InternalConsistencyError(f"owner of {j} out of sync with the chain")
-        self.index.on_front_advance(j, old, new, owned)
 
     # -- resource accounting ---------------------------------------------------
 

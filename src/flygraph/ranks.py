@@ -92,19 +92,6 @@ class SortedBlocks:
             k &= k - 1
         return rank
 
-    def bisect_right(self, value) -> int:
-        """Number of members at or below ``value``."""
-        maxes = self._maxes
-        k = bisect_right(maxes, value)
-        if k == len(maxes):
-            return self._len
-        rank = bisect_right(self._lists[k], value)
-        tree = self._tree
-        while k:
-            rank += tree[k]
-            k &= k - 1
-        return rank
-
     def select_outside(self, rank: int, start: int) -> int:
         """Least y with y - |members <= y| == rank: the rank-th position outside.
 
@@ -207,14 +194,6 @@ class SortedBlocks:
                 self._update(k, -1)
                 return
         raise ValueError(f"{value} is not in the index")
-
-    def __contains__(self, value) -> bool:
-        maxes = self._maxes
-        k = bisect_left(maxes, value)
-        if k == len(maxes):
-            return False
-        block = self._lists[k]
-        return block[bisect_left(block, value)] == value
 
     def __iter__(self):
         return chain.from_iterable(self._lists)

@@ -136,17 +136,6 @@ def test_stats_text_and_json(capsys):
     assert blob["height"] > 0
 
 
-def test_bench_json(capsys):
-    code, out, _ = run(capsys, "bench", "--model", "ba", "--n", "1000",
-                       "--queries", "200", "--seed", "2")
-    assert code == 0
-    blob = json.loads(out)
-    for key in ("bits_per_query_mean", "time_per_query_ns", "stored_cells",
-                "max_scan_iterations", "max_recursion_depth"):
-        assert key in blob
-    assert blob["stored_cells"] > 0
-
-
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "sample")[0] == 1
     assert run(capsys, "nope", "--n", "3")[0] == 1

@@ -548,16 +548,14 @@ def hang_fails(seconds=10):
 
 
 class MiscountingSkip(SortedBlocks):
-    """Skip set whose bisect_right is off by ``shift``, and so its select.
+    """Skip set whose select is off by ``shift`` ranks.
 
-    A count of members at or below y that is ``shift`` too high solves
-    y - |members <= y| = rank for rank + ``shift``.
+    A count of members at or below y that is ``shift`` too high would solve
+    y - |members <= y| = rank for rank + ``shift``; the scan reads that
+    count only through ``select_outside``.
     """
 
     shift = 0
-
-    def bisect_right(self, value):
-        return max(0, super().bisect_right(value) + self.shift)
 
     def select_outside(self, rank, start):
         return super().select_outside(rank + self.shift, start)

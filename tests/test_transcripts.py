@@ -26,6 +26,15 @@ the node's next call rather than on the call that answers the child, so a
 sweep's bits move one answer later and the random schedule's second calls
 stop paying for a third.  The ``rrt`` pin did not move: it runs no
 ``bagen`` code.
+
+The two ``hub`` pins read the first twenty streams of a 10^9-node graph a
+hundred answers deep.  That is the deep-chain path: each fresh child is
+fronted by a chain of scans, here up to 29 long (``ba``) and 28 (``rrt``),
+and the ``ba`` run ends with 5,580 skip members spread over four blocks.
+The other pins reach neither: their chains stay short, and the ``rrt``
+random pin never scans.  The hub digests were recorded before the scan
+and the front move became one loop in ``LinkTree.next_child``, which
+left them as they were.
 """
 
 import hashlib
@@ -38,7 +47,8 @@ from flygraph import BAGenerator, RRTGenerator
 
 def digest(gen, schedule: str, seed: int) -> str:
     """Hash of a run: every stream read to its end marker n+1 node by node
-    (``sweep``), or next_neighbor on 2,000 uniform random nodes (``random``)."""
+    (``sweep``), next_neighbor on 2,000 uniform random nodes (``random``),
+    or 100 next_neighbor calls on each of nodes 1..20 (``hub``)."""
     n = gen.n
     h = hashlib.blake2b(digest_size=16)
 
@@ -52,6 +62,10 @@ def digest(gen, schedule: str, seed: int) -> str:
         for j in range(1, n + 1):
             while ask(j) != n + 1:
                 pass
+    elif schedule == "hub":
+        for j in range(1, 21):
+            for _ in range(100):
+                ask(j)
     else:
         rng = random.Random(seed)
         for _ in range(2_000):
@@ -63,6 +77,8 @@ PINNED = [
     ("ba", 300, 1, "sweep", "b85b86b79cc3de3791913e3b8e67ac52"),
     ("ba", 10**6, 2, "random", "a86be18b97b67587d7a343dfbff85f52"),
     ("rrt", 10**6, 3, "random", "122c94807740f687c54e3f42947729a5"),
+    ("ba", 10**9, 4, "hub", "403bf006be38a098715a71aa8c4cbebf"),
+    ("rrt", 10**9, 5, "hub", "2bd3a9c71be74c81ceefa46096ec2cfd"),
 ]
 
 
