@@ -13,8 +13,6 @@ from .bagen import BAGenerator
 from .errors import InternalConsistencyError
 from .linktree import LinkTree, RRTGenerator, sample_candidate_rank
 from .randomness import BitSource, COPY, DIRECT
-from .ranks import CandidateIndex
-from .sparse import ChildSets, LazyMap
 
 __version__ = "0.1.0"
 
@@ -37,10 +35,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BAGenerator", "BATCH_SAMPLERS", "BitSource", "CandidateIndex",
-    "ChildSets", "COPY", "DIRECT", "GraphSample", "InternalConsistencyError",
-    "LazyMap", "LinkTree", "NaiveLinkTree", "RRTGenerator",
-    "batch_ba", "batch_rrt", "batch_z", "chi_square_gof",
+    "BAGenerator", "BATCH_SAMPLERS", "BitSource", "COPY", "DIRECT",
+    "GraphSample", "InternalConsistencyError", "LinkTree", "NaiveLinkTree",
+    "RRTGenerator", "batch_ba", "batch_rrt", "batch_z", "chi_square_gof",
     "chi_square_two_sample", "degree_stats", "empirical_law",
     "enumerate_exact", "reconstruct_via_sweep", "sample_candidate_rank",
     "tree_metrics", "tv_distance",

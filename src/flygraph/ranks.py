@@ -176,7 +176,7 @@ class SortedBlocks:
             self._update(k, 1)
 
     def remove(self, value) -> None:
-        """Remove one copy of ``value``; ValueError if it is not a member."""
+        """Remove one copy of ``value``, which must be a member."""
         lists, maxes = self._lists, self._maxes
         k = bisect_left(maxes, value)
         if k < len(maxes):
@@ -193,7 +193,7 @@ class SortedBlocks:
                     maxes[k] = block[-1]
                 self._update(k, -1)
                 return
-        raise ValueError(f"{value} is not in the index")
+        raise InternalConsistencyError(f"{value} is not in the index")
 
     def __iter__(self):
         return chain.from_iterable(self._lists)
@@ -210,14 +210,13 @@ class CandidateIndex:
     """Sparse counting structures over scan fronts.
 
     Storage grows with the number of fronted nodes, never with n.  ``fronts``
-    maps each fronted node to its front; ``skip`` is sorted.
+    maps each fronted node to its front; ``skip`` is sorted.  Its one owner,
+    :class:`~flygraph.linktree.LinkTree`, has checked n and every position.
     """
 
     __slots__ = ("n", "fronts", "skip")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
         self.n = n
         self.fronts = {}
         self.skip = SortedBlocks()  # fronted nodes with no current owner
@@ -225,9 +224,7 @@ class CandidateIndex:
     # -- counting queries --------------------------------------------------
 
     def open_parent_count(self, a: int) -> int:
-        """Number of i < a with front(i) unset or front(i) < a."""
-        if not 2 <= a <= self.n + 1:
-            raise ValueError(f"position {a} outside [2, {self.n + 1}]")
+        """Number of i < a with front(i) unset or front(i) < a; a in [2, n+1]."""
         return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_count(self, a: int, b: int) -> int:

@@ -84,9 +84,7 @@ class ChildSets:
         self._sets = {}
 
     def insert(self, j: int, i: int) -> None:
-        """Record i as a child of j.  A duplicate insert signals a sampler bug."""
-        if not 1 <= j < i <= self.n:
-            raise ValueError(f"child {i} of {j} outside ({j}, {self.n}]")
+        """Record i as a child of j, for 1 <= j < i <= n.  A duplicate signals a bug."""
         sets = self._sets
         s = sets.get(j)
         if s is None:

@@ -101,33 +101,18 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict) -> float:
 
 
 def degree_stats(sample: GraphSample) -> dict:
-    """Degrees and their normalized shares for one sampled graph.
+    """Per-node degrees of one sampled graph, under ``"degree"``.
 
-    For the attachment models the node-1 self-loop adds two to its degree
-    and one to its in-degree; shares divide by 2n edge endpoints and by n
-    edges.  Recursive trees have no self-loop and n-1 edges.
+    For the attachment models the node-1 self-loop adds two to its degree.
+    Recursive trees have no self-loop.
     """
-    n = sample.n
-    degree = [0] * (n + 1)
-    in_degree = [0] * (n + 1)
+    degree = [0] * (sample.n + 1)
     if sample.model in ("ba", "z"):
         degree[1] += 2
-        in_degree[1] += 1
-        edge_endpoints = 2 * n
-        edges = n
-    else:
-        edge_endpoints = 2 * (n - 1)
-        edges = n - 1
-    for j in range(2, n + 1):
-        p = sample.parents[j]
+    for j in range(2, sample.n + 1):
         degree[j] += 1
-        degree[p] += 1
-        in_degree[p] += 1
-    share = [Fraction(d, edge_endpoints) if edge_endpoints else Fraction(0)
-             for d in degree]
-    in_share = [Fraction(d, edges) if edges else Fraction(0) for d in in_degree]
-    return {"degree": degree, "in_degree": in_degree,
-            "degree_share": share, "in_share": in_share}
+        degree[sample.parents[j]] += 1
+    return {"degree": degree}
 
 
 def tree_metrics(sample: GraphSample) -> dict:
@@ -140,17 +125,13 @@ def tree_metrics(sample: GraphSample) -> dict:
     n = sample.n
     depth = [0] * (n + 1)
     fan_out = [0] * (n + 1)
-    height = 0
     for j in range(2, n + 1):
         p = sample.parents[j]
         if not 1 <= p < j:
             raise InternalConsistencyError(f"parent {p} of {j} is not earlier")
         depth[j] = depth[p] + 1
         fan_out[p] += 1
-        if depth[j] > height:
-            height = depth[j]
-    return {"height": height, "max_fan_out": max(fan_out) if n > 1 else 0,
-            "depth": depth, "fan_out": fan_out}
+    return {"height": max(depth), "max_fan_out": max(fan_out)}
 
 
 def schedule_queries(gen, schedule: str = "sweep"):

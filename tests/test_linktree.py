@@ -589,6 +589,17 @@ class TestBrokenState:
         with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):
             tree.parent(2)
 
+    def test_scan_onto_front_the_index_never_saw_raises(self):
+        # A front written behind the index's back makes node 5 look fronted
+        # but leaves it out of the skip set: the scan that makes 5 its
+        # target must take 5 out of a skip set it never joined.
+        tree = LinkTree(30, seed=0)
+        tree.fronts[5] = 31
+        with hang_fails(), pytest.raises(InternalConsistencyError, match="not in the index"):
+            for j in range(1, 31):
+                while tree.next_child(j) <= 30:
+                    pass
+
     def test_owned_node_without_front_raises(self):
         # Deleting an owned node's front makes it look like a chain's head,
         # while its parent's front still names it: the invariant check sees

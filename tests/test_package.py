@@ -49,6 +49,15 @@ def test_star_import_binds_every_export():
     assert out.split() == ["[]", "True", "True", "True"]
 
 
+def test_internal_structures_stay_in_their_modules():
+    from flygraph import ranks, sparse
+    for name, module in (("CandidateIndex", ranks), ("ChildSets", sparse),
+                         ("LazyMap", sparse)):
+        assert name not in flygraph.__all__
+        assert not hasattr(flygraph, name)
+        assert hasattr(module, name)
+
+
 def test_lazy_names_resolve_once_and_unknown_names_fail():
     from flygraph import batch
     assert flygraph.enumerate_exact is batch.enumerate_exact

@@ -5,9 +5,9 @@ from bisect import bisect_left, bisect_right, insort
 
 import pytest
 
-from flygraph import CandidateIndex, InternalConsistencyError
+from flygraph import InternalConsistencyError
 from flygraph import ranks
-from flygraph.ranks import SortedBlocks
+from flygraph.ranks import CandidateIndex, SortedBlocks
 
 
 class FrontOracle:
@@ -169,14 +169,6 @@ def test_old_target_without_front_raises():
         index.on_front_advance(2, 4, 5, False)
 
 
-def test_open_parent_count_domain():
-    index = CandidateIndex(5)
-    with pytest.raises(ValueError):
-        index.open_parent_count(1)
-    with pytest.raises(ValueError):
-        index.open_parent_count(7)
-
-
 def test_consecutive_rank_gap_matches_skip_membership():
     n = 8
     index = CandidateIndex(n)
@@ -272,7 +264,7 @@ def test_sorted_blocks_match_a_sorted_list(monkeypatch, seed):
         empties += len(blocks._lists) < before
         check_blocks(blocks, plain, probes)
     assert splits >= 3 and empties >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalConsistencyError):
         blocks.remove(60)
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from flygraph import ChildSets, InternalConsistencyError, LazyMap
+from flygraph import InternalConsistencyError
+from flygraph.sparse import ChildSets, LazyMap
 
 
 class TestLazyMap:
@@ -63,17 +64,6 @@ class TestChildSets:
         cs.insert(2, 5)
         with pytest.raises(InternalConsistencyError):
             cs.insert(2, 5)
-
-    def test_insert_validation(self):
-        cs = ChildSets(9)
-        with pytest.raises(ValueError):
-            cs.insert(3, 3)
-        with pytest.raises(ValueError):
-            cs.insert(3, 2)
-        with pytest.raises(ValueError):
-            cs.insert(3, 10)
-        with pytest.raises(ValueError):
-            cs.insert(0, 1)
 
     def test_successor_validation(self):
         cs = ChildSets(9)
