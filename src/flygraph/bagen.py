@@ -74,11 +74,9 @@ class BAGenerator:
                     heapq.heappush(heap, head)
         elif heap:
             last = heapq.heappop(heap)
+            # An answer's stream is its parent's: j's if direct, else the copied child's.
             link = tree.links[last]
-            if link & 1 == DIRECT:
-                head = tree.next_child_typed(j, last, DIRECT)
-            else:
-                head = tree.next_child_typed(link >> 1, last, COPY)
+            head = tree.next_child_typed(link >> 1, last, link & 1)
             for x in (head, tree.next_child_typed(last, last, COPY)):
                 if x <= n:
                     heapq.heappush(heap, x)

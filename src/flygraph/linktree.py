@@ -26,7 +26,7 @@ are rejected and the scan resumes above them).
 from __future__ import annotations
 
 from .errors import InternalConsistencyError
-from .randomness import BitSource, DIRECT
+from .randomness import COPY, DIRECT, BitSource
 from .ranks import CandidateIndex
 from .sparse import ChildSets
 
@@ -90,12 +90,15 @@ class LinkTree:
     def parent(self, j: int) -> tuple[int, int]:
         """Link and flag of j, drawing them if still open.
 
-        The draw is uniform over the nodes that can still be j's parent:
-        those below j whose front has not passed j.  Marginally, over the
-        whole run, that is uniform on [1, j-1].  Rejection sampling keeps the
-        draw exact; the open-parent pool is never empty while j's link is
-        undecided, so it terminates with probability one.  Rejection runs
-        too long for the index's open count recheck the whole state.
+        The draw is uniform over j's open parents: the nodes below j whose
+        front has not passed j.  Up to three draws from [1, j-1] are tried;
+        if all land on closed nodes, an exact draw takes the r-th position y
+        below j outside the skip set and answers y, or y's parent if y has a
+        front.  At rest that map is a bijection onto the open parents: an
+        unfronted y is open, a fronted y outside the skip set is the front of
+        a parent below j, and fronts are distinct.  Every draw is uniform over
+        the open parents, so the mixture is exact, and a call costs at most
+        four draws of about log2 n bits and a flag.
         """
         if not 1 <= j <= self.n:
             raise ValueError(f"node {j} outside [1, {self.n}]")
@@ -104,26 +107,31 @@ class LinkTree:
         link = self.links.get(j)
         if link is not None:
             return link >> 1, link & 1
-        get_front = self.fronts.get
-        uniform = self.source.uniform_int
-        attempts, check_at = 0, 64
+        rejections = 0
         while True:
-            cand = 1 + uniform(j - 1)
-            f = get_front(cand)
-            if f is None or f < j:
+            cand = 1 + self.source.uniform_int(j - 1)
+            if self.fronts.get(cand, 0) < j:
                 break
-            attempts += 1
-            if attempts == check_at:
-                check_at *= 2
+            rejections += 1
+            # Three draws, the select's draw and the flag: about 4 log2 n bits at most.
+            if rejections == 3:
                 count = self.index.open_parent_count(j)
-                if count == 0:
+                if count < 1:
                     raise InternalConsistencyError(f"no open parent left for {j}")
-                if attempts * count >= 32 * (j - 1):
-                    self.check_invariants()
+                cand = self._open_parent(j, self.source.uniform_int(count))
+                break
         flag = self.source.uniform_flag()
         self.links[j] = cand << 1 | flag
         self.children.insert(cand, j)
         return cand, flag
+
+    def _open_parent(self, j: int, r: int) -> int:
+        """The open parent of j that position r (from 0) outside the skip set maps to."""
+        y = self.index.unskipped_select(r)
+        p = self.links.get(y, 0) >> 1 if y in self.fronts else y
+        if not 1 <= p < j or self.fronts.get(p, 0) >= j:
+            raise InternalConsistencyError(f"select for {j} gave {p}: skip set out of step")
+        return p
 
     def next_child(self, j: int) -> int:
         """Least undiscovered child of j; n+1 once none remain.
@@ -152,7 +160,7 @@ class LinkTree:
         while True:
             base = j if front is None else front
             a = base + 1
-            b = children.first_above(j, base)
+            b = children.successor(j, base)
             # One bisection at a gives both counts of a step; the one at b serves all.
             kb = len(skip) if b > n else skip.bisect_left(b)
             # Each rejected step passes a distinct linked node: <= len(links)+1 steps.
@@ -213,7 +221,8 @@ class LinkTree:
         set; only past the front does it scan, so nothing below k is redrawn.
         Probes may not run ahead: k <= front(j), or k == j before any scan.
         A front at or past n ends the stream after the walk, and so does a
-        scan that answers n: one more scan would move front(j) to n+1.
+        scan that answers n: one more scan would move front(j) to n+1.  Any
+        flag but None, DIRECT or COPY raises before the first scan.
         """
         n, links = self.n, self.links
         if not 1 <= j <= n:
@@ -233,6 +242,8 @@ class LinkTree:
                     return x
             if front >= n:
                 return n + 1
+        if flag not in (None, DIRECT, COPY):
+            raise ValueError(f"flag {flag!r} is not None, DIRECT or COPY")
         while True:
             x = self.next_child(j)
             if x > n or flag is None or links[x] & 1 == flag:

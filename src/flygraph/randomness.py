@@ -44,8 +44,6 @@ class BitSource:
         """Return ``k`` fresh bits as an integer in [0, 2**k), consuming exactly ``k``."""
         if k < 0:
             raise ValueError("bit count must be nonnegative")
-        if k == 0:
-            return 0
         buf = self._buf
         avail = self._avail
         while avail < k:
@@ -72,8 +70,6 @@ class BitSource:
         """
         if m <= 0:
             raise ValueError("m must be positive")
-        if m == 1:
-            return 0
         have = 1
         x = 0
         while True:

@@ -263,14 +263,13 @@ class CandidateIndex:
     def on_front_advance(self, i: int, old, new: int, has_owner: bool) -> None:
         """Record front(i) moving from ``old`` (possibly None) to ``new``.
 
+        The caller read ``old`` from ``fronts`` and chose ``new`` above it.
         ``has_owner`` says whether something fronts to i; it matters only at
         i's first front, when i joins the skip set unless owned.  The old
         target (a real node) loses its owner and joins the skip set; the new
         one gains an owner and leaves it, unless it has no front yet.
         """
         fronts = self.fronts
-        if new is None or (old is not None and new <= old) or fronts.get(i) != old:
-            raise InternalConsistencyError(f"front of {i} may not move {old} -> {new}")
         fronts[i] = new
         if old is None:
             if not has_owner:

@@ -98,7 +98,7 @@ class ChildSets:
         s.insert(pos, i)
 
     def successor(self, j: int, k: int) -> int:
-        """Least recorded child of j strictly greater than k, or n+1 if none.
+        """Least recorded child of j above k, or n+1; unchecked, for validated keys.
 
         >>> cs = ChildSets(9)
         >>> cs.successor(2, 2)
@@ -106,12 +106,6 @@ class ChildSets:
         >>> cs.insert(2, 5); cs.successor(2, 2), cs.successor(2, 5)
         (5, 10)
         """
-        if not 1 <= j <= k <= self.n:
-            raise ValueError(f"successor probe {k} outside [{j}, {self.n}]")
-        return self.first_above(j, k)
-
-    def first_above(self, j: int, k: int) -> int:
-        """``successor`` unchecked, for keys the caller has validated."""
         s = self._sets.get(j)
         if s is None:
             return self.n + 1

@@ -291,6 +291,87 @@ class TestParent:
         stat = sum((counts[v] - expected) ** 2 / expected for v in range(1, 5))
         assert chi2.sf(stat, 3) > 1e-6, dict(counts)
 
+    def test_select_maps_ranks_onto_open_parents(self):
+        # At rest, the ranks below open_parent_count(j) of the positions
+        # outside the skip set map onto j's open parents one to one.
+        rng = random.Random(7)
+        through_parent = 0
+        for seed in range(300):
+            n = rng.randrange(5, 40)
+            tree = LinkTree(n, seed=seed)
+            for j in rng.sample(range(1, n + 1), rng.randrange(n)):
+                for _ in range(rng.choice((1, 2, n))):
+                    if tree.next_child(j) > n:
+                        break
+            for j in range(2, n + 1):
+                count = tree.index.open_parent_count(j)
+                hits = [tree._open_parent(j, r) for r in range(count)]
+                assert sorted(hits) == open_parents(tree, j), (seed, j)
+                through_parent += sum(tree.index.unskipped_select(r) != p
+                                      for r, p in enumerate(hits))
+        assert through_parent > 1000
+
+    def test_select_law_is_uniform_over_open_parents(self):
+        # Node 1's stream is read out, so a draw of 1 is rejected: three of
+        # them force the select.  Given the state, the parent it answers is
+        # uniform over j's open parents, so its rank among them is too.
+        n = j = 8
+        ranks = {}
+        for s in range(12_000):
+            tree = LinkTree(n, seed=s)
+            while tree.next_child(1) <= n:
+                pass
+            if j in tree.links:
+                continue
+            opened = open_parents(tree, j)
+            tree.source = RejectingSource(3, seed=-1 - s)
+            p, _ = tree.parent(j)
+            assert tree.source.forced == 0
+            ranks.setdefault(len(opened), Counter())[opened.index(p)] += 1
+        stat, dof = 0.0, 0
+        for size, counts in ranks.items():
+            expected = sum(counts.values()) / size
+            if size > 1 and expected >= 5:
+                stat += sum((counts[r] - expected) ** 2 / expected for r in range(size))
+                dof += size - 1
+        assert dof >= 10
+        assert chi2.sf(stat, dof) > 1e-6, ranks
+
+    def test_parent_bits_bounded_after_closing_a_prefix(self):
+        # Reading out the streams of nodes 1..1000 closes them as parents of
+        # every later node, so most draws from [1, j-1] are rejected.  Three
+        # draws, the select and the flag keep every call within 4 log2 n.
+        gen = RRTGenerator(10**9, seed=1)
+        n = gen.n
+        for j in range(1, 1_001):
+            while gen.next_neighbor(j) <= n:
+                pass
+        worst = 0
+        for x in range(1_001, 3_001):
+            spent = gen.bits_consumed
+            gen.parent(x)
+            worst = max(worst, gen.bits_consumed - spent)
+        assert worst <= 4 * math.ceil(math.log2(n)) == 120
+
+
+class RejectingSource(BitSource):
+    """Bit source whose first ``forced`` uniform_int draws answer 0."""
+
+    def __init__(self, forced, seed):
+        super().__init__(seed)
+        self.forced = forced
+
+    def uniform_int(self, m):
+        if self.forced:
+            self.forced -= 1
+            return 0
+        return super().uniform_int(m)
+
+
+def open_parents(tree, j):
+    """Nodes below j whose front has not passed j, by brute force."""
+    return [i for i in range(1, j) if tree.fronts.get(i, 0) < j]
+
 
 class TestNextChild:
     def test_fresh_three_point_law(self):
@@ -348,6 +429,13 @@ class TestNextChild:
             assert front is not None
             assert front > last or front == last == 16
             last = front
+
+    def test_typed_rejects_unknown_flag_before_any_draw(self):
+        t = LinkTree(2000, seed=1)
+        with pytest.raises(ValueError, match="flag"):
+            t.next_child_typed(1, 1, 2)
+        assert (t.links, t.fronts, t.children.touched()) == ({}, {}, ())
+        assert len(t.index.skip) == 0 and t.source.bits_consumed == 0
 
     def test_typed_filters_by_flag(self):
         for seed in range(30):
@@ -583,7 +671,8 @@ class TestBrokenState:
     def test_parent_over_stale_skip_set_raises(self):
         # A front written behind the index's back leaves the skip set short
         # of a fronted node: the index still counts node 1 as an open parent
-        # of 2, while its front says otherwise, so every draw is rejected.
+        # of 2, while its front says otherwise, so all three draws are
+        # rejected and the select's answer is not an open parent.
         tree = LinkTree(3, seed=0)
         tree.fronts[1] = 4
         with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):

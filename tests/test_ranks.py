@@ -150,17 +150,6 @@ def test_skip_neighbors_differ_by_membership():
     check_all_queries(index, oracle)
 
 
-def test_monotonicity_enforced():
-    index = CandidateIndex(5)
-    index.on_front_advance(2, None, 4, False)
-    with pytest.raises(InternalConsistencyError):
-        index.on_front_advance(2, 4, 4, False)
-    with pytest.raises(InternalConsistencyError):
-        index.on_front_advance(2, 4, 3, False)
-    with pytest.raises(InternalConsistencyError):
-        index.on_front_advance(3, None, None, False)
-
-
 def test_old_target_without_front_raises():
     # 4 is owned but not fronted yet; moving past it breaks the chain.
     index = CandidateIndex(5)

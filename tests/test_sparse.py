@@ -65,13 +65,6 @@ class TestChildSets:
         with pytest.raises(InternalConsistencyError):
             cs.insert(2, 5)
 
-    def test_successor_validation(self):
-        cs = ChildSets(9)
-        with pytest.raises(ValueError):
-            cs.successor(3, 2)
-        with pytest.raises(ValueError):
-            cs.successor(3, 10)
-
     def test_cells_and_touched(self):
         cs = ChildSets(9)
         assert cs.total_cells() == 0

@@ -35,6 +35,14 @@ The other pins reach neither: their chains stay short, and the ``rrt``
 random pin never scans.  The hub digests were recorded before the scan
 and the front move became one loop in ``LinkTree.next_child``, which
 left them as they were.
+
+The ``adaptive`` pin closes the first thousand nodes of a 10^9-node tree,
+reading their streams to the end, and then draws the parents of the next
+two thousand.  Most of those are already linked; an open one's draws from
+[1, j-1] mostly land on closed nodes, so 139 of its parent() calls reject
+three draws and take the exact select over the open parents.  It is the
+one pin that reaches that select: the others never reject three draws in
+a row.  It was recorded when the select replaced unbounded rejection.
 """
 
 import hashlib
@@ -48,13 +56,15 @@ from flygraph import BAGenerator, RRTGenerator
 def digest(gen, schedule: str, seed: int) -> str:
     """Hash of a run: every stream read to its end marker n+1 node by node
     (``sweep``), next_neighbor on 2,000 uniform random nodes (``random``),
-    or 100 next_neighbor calls on each of nodes 1..20 (``hub``)."""
+    100 next_neighbor calls on each of nodes 1..20 (``hub``), or the
+    streams of nodes 1..1000 read to n+1 and then parent() of each of
+    nodes 1001..3000 (``adaptive``, ``rrt`` only)."""
     n = gen.n
     h = hashlib.blake2b(digest_size=16)
 
-    def ask(j):
+    def ask(j, query=gen.next_neighbor):
         spent = gen.bits_consumed
-        answer = gen.next_neighbor(j)
+        answer = query(j)
         h.update(f"{j} {answer} {gen.bits_consumed - spent};".encode())
         return answer
 
@@ -66,6 +76,12 @@ def digest(gen, schedule: str, seed: int) -> str:
         for j in range(1, 21):
             for _ in range(100):
                 ask(j)
+    elif schedule == "adaptive":
+        for j in range(1, 1_001):
+            while ask(j) != n + 1:
+                pass
+        for x in range(1_001, 3_001):
+            ask(x, gen.parent)
     else:
         rng = random.Random(seed)
         for _ in range(2_000):
@@ -79,6 +95,7 @@ PINNED = [
     ("rrt", 10**6, 3, "random", "122c94807740f687c54e3f42947729a5"),
     ("ba", 10**9, 4, "hub", "403bf006be38a098715a71aa8c4cbebf"),
     ("rrt", 10**9, 5, "hub", "2bd3a9c71be74c81ceefa46096ec2cfd"),
+    ("rrt", 10**9, 1, "adaptive", "27a497e19dd95c8929711ea19479b07f"),
 ]
 
 
