@@ -8,8 +8,8 @@ Subcommands:
 * ``stats``    summary statistics over many batch samples.
 
 Output is deterministic for fixed arguments; per-query timing lives in
-``bench/run.py``.  Exit codes: 0 success, 1 usage or input errors, 2
-distribution check failed.
+``bench/run.py``.  Exit codes: 0 success, 1 usage or input errors (each
+with a message on stderr), 2 distribution check failed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ def _read_queries_file(path: str, n: int):
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        sys.stderr.write(f"cannot read queries file: {exc}\n")
-        raise SystemExit(1)
+        raise ValueError(f"cannot read queries file: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -45,11 +44,9 @@ def _read_queries_file(path: str, n: int):
         try:
             j = int(text, 10)
         except ValueError:
-            sys.stderr.write(f"queries file line {lineno}: not an integer: {text!r}\n")
-            raise SystemExit(1)
+            raise ValueError(f"queries file line {lineno}: not an integer: {text!r}") from None
         if not 1 <= j <= n:
-            sys.stderr.write(f"queries file line {lineno}: node {j} outside [1, {n}]\n")
-            raise SystemExit(1)
+            raise ValueError(f"queries file line {lineno}: node {j} outside [1, {n}]")
         queries.append(j)
     return queries
 
@@ -68,18 +65,17 @@ def _fit(counts: dict, exact: dict, trials: int):
 
 def _cmd_sample(args) -> int:
     gen = GENERATORS[args.model](args.n, args.seed)
-    if args.schedule == "file":
-        if not args.queries_file:
-            sys.stderr.write("schedule 'file' requires --queries-file\n")
-            return 1
-        nodes = _read_queries_file(args.queries_file, args.n)
-        pairs = [(j, gen.next_neighbor(j)) for j in nodes]
+    if args.queries_file is not None:
+        schedule = "file"
+        pairs = [(j, gen.next_neighbor(j))
+                 for j in _read_queries_file(args.queries_file, args.n)]
     else:
-        pairs = list(schedule_queries(gen, args.schedule))
+        schedule = args.schedule or "sweep"
+        pairs = list(schedule_queries(gen, schedule))
     if args.output == "json":
         print(json.dumps({
             "model": args.model, "n": args.n, "seed": args.seed,
-            "schedule": args.schedule,
+            "schedule": schedule,
             "queries": [[j, r] for j, r in pairs],
             "bits_consumed": gen.bits_consumed,
             "stored_cells": gen.stored_cells(),
@@ -101,9 +97,6 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.n > 8:
-        sys.stderr.write("compare needs n <= 8 for the exact law\n")
-        return 1
     exact = enumerate_exact(args.model, args.n)
     counts = {}
     for i in range(args.trials):
@@ -166,15 +159,11 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _add_common(sub, trials=False, seeds=False):
+def _add_common(sub):
     sub.add_argument("--model", choices=tuple(GENERATORS), default="ba")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    if trials:
-        sub.add_argument("--trials", type=int, default=20000)
-    if seeds:
-        sub.add_argument("--seeds", type=int, default=20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = subs.add_parser("sample", help="drive the lazy sampler")
     _add_common(p_sample)
-    p_sample.add_argument("--schedule", choices=("sweep", "roundrobin", "file"),
-                          default="sweep")
-    p_sample.add_argument("--queries-file")
+    # No default: the group sees a spelled-out value only when it differs from it.
+    order = p_sample.add_mutually_exclusive_group()
+    order.add_argument("--schedule", choices=("sweep", "roundrobin"))
+    order.add_argument("--queries-file")
     p_sample.set_defaults(func=_cmd_sample)
 
     p_batch = subs.add_parser("batch", help="sample one whole graph up front")
@@ -195,13 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = subs.add_parser("compare",
                                 help="empirical sweep law vs exact law")
-    _add_common(p_compare, trials=True)
+    _add_common(p_compare)
+    p_compare.add_argument("--trials", type=int, default=20000)
     p_compare.add_argument("--schedule", choices=("sweep", "roundrobin"),
                            default="sweep")
     p_compare.set_defaults(func=_cmd_compare)
 
     p_stats = subs.add_parser("stats", help="summary statistics")
-    _add_common(p_stats, seeds=True)
+    _add_common(p_stats)
+    p_stats.add_argument("--seeds", type=int, default=20)
     p_stats.set_defaults(func=_cmd_stats)
     return parser
 
@@ -212,15 +204,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    for name in ("n", "trials", "seeds"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            sys.stderr.write(f"--{name} must be positive\n")
-            return 1
     try:
+        for name in ("n", "trials", "seeds"):
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"--{name} must be positive")
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -100,8 +100,8 @@ class LinkTree:
         the open parents, so the mixture is exact, and a call costs at most
         four draws of about log2 n bits and a flag.
         """
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
         if j == 1:
             return 1, DIRECT
         link = self.links.get(j)
@@ -148,8 +148,8 @@ class LinkTree:
         against it.
         """
         n, links, fronts = self.n, self.links, self.fronts
-        if not 1 <= j <= n:
-            raise ValueError(f"node {j} outside [1, {n}]")
+        if not (isinstance(j, int) and 1 <= j <= n):
+            raise ValueError(f"node {j!r} outside [1, {n}]")
         if j > 1 and j not in links:
             self.parent(j)
         front = fronts.get(j)
@@ -219,37 +219,34 @@ class LinkTree:
 
         Known children up to the front are read in one pass over j's child
         set; only past the front does it scan, so nothing below k is redrawn.
-        Probes may not run ahead: k <= front(j), or k == j before any scan.
-        A front at or past n ends the stream after the walk, and so does a
-        scan that answers n: one more scan would move front(j) to n+1.  Any
-        flag but None, DIRECT or COPY raises before the first scan.
+        Probes may not run ahead: k <= front(j), taking front(j) = j before
+        any scan, unless k >= n.  A probe at or past n, a front at or past n
+        and a scan that answers n all end the stream: one more scan would
+        move front(j) to n+1.  Any flag but None, DIRECT or COPY raises
+        unless a known child answers first.
         """
         n, links = self.n, self.links
-        if not 1 <= j <= n:
-            raise ValueError(f"node {j} outside [1, {n}]")
-        if not j <= k <= n + 1:
-            raise ValueError(f"probe {k} outside [{j}, {n + 1}]")
-        if k >= n:
-            return n + 1
-        front = self.fronts.get(j)
-        if (k > front) if front is not None else (k != j):
-            raise ValueError(f"probe {k} ahead of the committed front of {j}")
-        if front is not None:
+        if not (isinstance(j, int) and 1 <= j <= n):
+            raise ValueError(f"node {j!r} outside [1, {n}]")
+        if not (isinstance(k, int) and j <= k <= n + 1):
+            raise ValueError(f"probe {k!r} outside [{j}, {n + 1}]")
+        front = self.fronts.get(j, j)
+        if front > j:
             for x in self.children.above(j, k):
                 if x > front:
                     break
                 if flag is None or links[x] & 1 == flag:
                     return x
-            if front >= n:
-                return n + 1
         if flag not in (None, DIRECT, COPY):
             raise ValueError(f"flag {flag!r} is not None, DIRECT or COPY")
-        while True:
+        if front < k < n:
+            raise ValueError(f"probe {k} ahead of the committed front of {j}")
+        while k <= front < n:
             x = self.next_child(j)
             if x > n or flag is None or links[x] & 1 == flag:
                 return x
-            if x == n:
-                return n + 1
+            front = x
+        return n + 1
 
     # -- recursive-tree facade -------------------------------------------------
 

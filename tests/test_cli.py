@@ -1,10 +1,13 @@
 """Command-line interface: transcripts, formats, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from flygraph.cli import main
+from flygraph.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -43,22 +46,27 @@ def test_sample_json_shape(capsys):
 
 
 def test_sample_from_queries_file(tmp_path, capsys):
+    # The file alone selects its schedule: its queries, and no sweep after.
     path = tmp_path / "queries.txt"
     path.write_text("1\n\n  2\n1\n")
     code, out, err = run(capsys, "sample", "--model", "ba", "--n", "4",
-                         "--schedule", "file", "--queries-file", str(path))
+                         "--queries-file", str(path))
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3
-    assert lines[0].startswith("q 1 -> ")
-    assert lines[1].startswith("q 2 -> ")
+    assert [line.split()[1] for line in lines] == ["1", "2", "1"]
+    code, out, _ = run(capsys, "sample", "--model", "ba", "--n", "4",
+                       "--queries-file", str(path), "--output", "json")
+    blob = json.loads(out)
+    assert blob["schedule"] == "file"
+    assert [j for j, _ in blob["queries"]] == [1, 2, 1]
 
 
 def test_queries_file_parse_error_names_line(tmp_path, capsys):
     path = tmp_path / "queries.txt"
     path.write_text("1\nbogus\n2\n")
     code, out, err = run(capsys, "sample", "--model", "ba", "--n", "4",
-                         "--schedule", "file", "--queries-file", str(path))
+                         "--queries-file", str(path))
     assert code == 1
     assert "line 2" in err
 
@@ -67,16 +75,23 @@ def test_queries_file_range_error(tmp_path, capsys):
     path = tmp_path / "queries.txt"
     path.write_text("5\n")
     code, _, err = run(capsys, "sample", "--model", "ba", "--n", "4",
-                       "--schedule", "file", "--queries-file", str(path))
+                       "--queries-file", str(path))
     assert code == 1
     assert "line 1" in err
 
 
-def test_file_schedule_requires_path(capsys):
+def test_queries_file_excludes_schedule(tmp_path, capsys):
+    path = tmp_path / "queries.txt"
+    path.write_text("1\n")
+    for schedule in ("sweep", "roundrobin", "file"):
+        code, out, err = run(capsys, "sample", "--model", "ba", "--n", "4",
+                             "--schedule", schedule, "--queries-file", str(path))
+        assert (code, out) == (1, "")
+        assert "--queries-file" in err
     code, _, err = run(capsys, "sample", "--model", "ba", "--n", "4",
                        "--schedule", "file")
     assert code == 1
-    assert "queries-file" in err
+    assert "invalid choice" in err
 
 
 def test_batch_text_and_json(capsys):
@@ -153,3 +168,13 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "compare", "--help")
     assert code == 0
     assert "{ba,z,rrt}" in out
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("flygraph ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 from scipy.stats import chi2
 
-from flygraph import (BitSource, InternalConsistencyError, LinkTree,
-                      NaiveLinkTree, RRTGenerator, chi_square_gof,
+from flygraph import (BAGenerator, BitSource, InternalConsistencyError,
+                      LinkTree, NaiveLinkTree, RRTGenerator, chi_square_gof,
                       chi_square_two_sample, enumerate_exact,
                       sample_candidate_rank)
 from flygraph.ranks import SortedBlocks
@@ -245,6 +245,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.next_child_from(2, 7)
 
+    def test_non_int_node_rejected_without_state_change(self):
+        t = LinkTree(10, seed=1)
+        t.next_child(2)
+        state = (dict(t.links), dict(t.fronts), t.source.bits_consumed)
+        for call, args in ((t.parent, (2.0,)), (t.next_child, (3.0,)),
+                           (t.next_child, ("3",)), (t.next_child_typed, (2.0, 2, None)),
+                           (t.next_child_typed, (2, 2.0, None))):
+            with pytest.raises(ValueError, match="outside"):
+                call(*args)
+            assert (t.links, t.fronts, t.source.bits_consumed) == state
+        for gen, call in ((RRTGenerator(10, seed=1), "parent"),
+                          (BAGenerator(10, seed=1), "next_neighbor")):
+            with pytest.raises(ValueError, match="outside"):
+                getattr(gen, call)(2.5)
+            assert gen.bits_consumed == 0 and gen.tree.links == {}
+
     def test_probe_ahead_of_front_rejected(self):
         t = LinkTree(8, seed=3)
         with pytest.raises(ValueError):
@@ -436,6 +452,16 @@ class TestNextChild:
             t.next_child_typed(1, 1, 2)
         assert (t.links, t.fronts, t.children.touched()) == ({}, {}, ())
         assert len(t.index.skip) == 0 and t.source.bits_consumed == 0
+        # The two ends of a stream that need no scan: a probe at n, and a
+        # stream already read out.
+        t = LinkTree(5, seed=0)
+        with pytest.raises(ValueError, match="flag"):
+            t.next_child_typed(1, 5, 2)
+        assert t.source.bits_consumed == 0
+        while t.next_child(1) <= 5:
+            pass
+        with pytest.raises(ValueError, match="flag"):
+            t.next_child_typed(1, 1, 2)
 
     def test_typed_filters_by_flag(self):
         for seed in range(30):
