@@ -34,11 +34,5 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "BAGenerator", "BATCH_SAMPLERS", "BitSource", "COPY", "DIRECT",
-    "GraphSample", "InternalConsistencyError", "LinkTree", "NaiveLinkTree",
-    "RRTGenerator", "batch_ba", "batch_rrt", "batch_z", "chi_square_gof",
-    "chi_square_two_sample", "degree_stats", "empirical_law",
-    "enumerate_exact", "reconstruct_via_sweep", "sample_candidate_rank",
-    "tree_metrics", "tv_distance",
-]
+__all__ = ["BAGenerator", "BitSource", "COPY", "DIRECT", "InternalConsistencyError",
+           "LinkTree", "RRTGenerator", "sample_candidate_rank", *_LAZY]

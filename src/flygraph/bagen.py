@@ -45,39 +45,42 @@ class BAGenerator:
 
     def ba_parent(self, j: int) -> int:
         """Head of j's attachment edge: follow copy flags until a direct link."""
-        node, flag = self.tree.parent(j)
+        node, flag = self.tree.parent(j)   # checks j
         while flag == COPY:
-            node, flag = self.tree.parent(node)
+            node, flag = self.tree._parent(node)
         return node
 
     def next_neighbor(self, j: int) -> int:
         """Next neighbor of j: attachment target first, then children, then n+1.
 
-        The first call answers ``ba_parent(j)``, the second opens j's streams.
-        An answered child stays atop j's heap until the next call pops it,
-        reads its stream's next head and opens the child's copy stream.
+        The first call answers ``ba_parent(j)``, the second opens j's streams;
+        an answered child stays atop j's heap until the next call pops it,
+        reads its stream's next head and opens its copy stream.  j is checked
+        here, once: the reads below go to the tree's unchecked internals.
         """
-        heaps = self._heaps
+        n, tree, heaps = self.n, self.tree, self._heaps
+        if not (isinstance(j, int) and 1 <= j <= n):
+            raise ValueError(f"node {j!r} outside [1, {n}]")
         heap = heaps.get(j)
         if heap is None:
-            # ba_parent validates j, so a node outside [1, n] never gets a key.
-            answer = self.ba_parent(j)
+            node, flag = tree._parent(j)
+            while flag == COPY:
+                node, flag = tree._parent(node)
             heaps[j] = _UNOPENED
-            return answer
-        n, tree = self.n, self.tree
+            return node
         if heap is _UNOPENED:
-            head = tree.next_child_typed(j, j, DIRECT)
+            head = tree._typed(j, j, DIRECT)
             heap = [head] if head <= n else []
             if j == 1:
-                head = tree.next_child_typed(1, 1, COPY)
+                head = tree._typed(1, 1, COPY)
                 if head <= n:
                     heapq.heappush(heap, head)
         elif heap:
             last = heapq.heappop(heap)
             # An answer's stream is its parent's: j's if direct, else the copied child's.
             link = tree.links[last]
-            head = tree.next_child_typed(link >> 1, last, link & 1)
-            for x in (head, tree.next_child_typed(last, last, COPY)):
+            head = tree._typed((link & tree.low) >> 1, last, link & 1)
+            for x in (head, tree._typed(last, last, COPY)):
                 if x <= n:
                     heapq.heappush(heap, x)
         heaps[j] = heap or _ENDED

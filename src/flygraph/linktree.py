@@ -14,13 +14,13 @@ Two query families are exposed:
 * ``next_child(j)`` reveals j's children in increasing order, one call at a
   time, ending with the sentinel n+1.
 
-Every node keeps a front: the largest child answer returned for it so far.
-Territory at or below a front is settled and never re-randomized, which is
-what keeps interleaved and repeated queries mutually consistent.  One scan
-step samples where the region between the current front and the next known
-child ends, in a single draw over candidate positions (skip-set members, see
-:mod:`flygraph.ranks`, are stepped over; positions already linked elsewhere
-are rejected and the scan resumes above them).
+Every node keeps a front, the largest child answer returned for it so far,
+in its one record beside its link.  Territory at or below a front is settled
+and never re-randomized, which keeps interleaved and repeated queries
+consistent.  One scan step samples where the region between the current
+front and the next known child ends, in a single draw over candidate
+positions (skip-set members, see :mod:`flygraph.ranks`, are stepped over;
+positions already linked elsewhere are rejected and the scan resumes above).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def sample_candidate_rank(source: BitSource, open_count: int, t: int,
 class LinkTree:
     """On-demand sampler of the parent-link tree on nodes 1..n."""
 
-    __slots__ = ("n", "source", "index", "children", "links", "fronts",
+    __slots__ = ("n", "source", "index", "children", "links", "shift", "low",
                  "scan_loop_max", "max_recursion_depth")
 
     def __init__(self, n: int, seed: int = 0):
@@ -80,8 +80,7 @@ class LinkTree:
         self.source = BitSource(seed)
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
-        self.links = {}                   # node -> parent << 1 | flag
-        self.fronts = self.index.fronts   # written only by the index
+        self.links, self.shift, self.low = self.index.links, self.index.shift, self.index.low
         self.scan_loop_max = 0
         self.max_recursion_depth = 0
 
@@ -102,15 +101,19 @@ class LinkTree:
         """
         if not (isinstance(j, int) and 1 <= j <= self.n):
             raise ValueError(f"node {j!r} outside [1, {self.n}]")
+        return self._parent(j)
+
+    def _parent(self, j: int) -> tuple[int, int]:
         if j == 1:
             return 1, DIRECT
-        link = self.links.get(j)
+        links = self.links
+        link = links.get(j)
         if link is not None:
-            return link >> 1, link & 1
-        rejections = 0
+            return (link & self.low) >> 1, link & 1
+        closed, rejections = j << self.shift, 0   # record < closed: front < j
         while True:
             cand = 1 + self.source.uniform_int(j - 1)
-            if self.fronts.get(cand, 0) < j:
+            if links.get(cand, 0) < closed:
                 break
             rejections += 1
             # Three draws, the select's draw and the flag: about 4 log2 n bits at most.
@@ -121,15 +124,16 @@ class LinkTree:
                 cand = self._open_parent(j, self.source.uniform_int(count))
                 break
         flag = self.source.uniform_flag()
-        self.links[j] = cand << 1 | flag
+        links[j] = cand << 1 | flag
         self.children.insert(cand, j)
         return cand, flag
 
     def _open_parent(self, j: int, r: int) -> int:
         """The open parent of j that position r (from 0) outside the skip set maps to."""
         y = self.index.unskipped_select(r)
-        p = self.links.get(y, 0) >> 1 if y in self.fronts else y
-        if not 1 <= p < j or self.fronts.get(p, 0) >= j:
+        link = self.links.get(y, 0)
+        p = (link & self.low) >> 1 if link > self.low else y
+        if not 1 <= p < j or self.links.get(p, 0) >> self.shift >= j:
             raise InternalConsistencyError(f"select for {j} gave {p}: skip set out of step")
         return p
 
@@ -147,18 +151,18 @@ class LinkTree:
         parent's front is the target, and a first front checks ``owned``
         against it.
         """
-        n, links, fronts = self.n, self.links, self.fronts
+        n, links, shift, low = self.n, self.links, self.shift, self.low
         if not (isinstance(j, int) and 1 <= j <= n):
             raise ValueError(f"node {j!r} outside [1, {n}]")
         if j > 1 and j not in links:
-            self.parent(j)
-        front = fronts.get(j)
-        if front is not None and front > n:
+            self._parent(j)
+        front = links.get(j, 0) >> shift
+        if front > n:
             return n + 1
-        skip, children = self.index.skip, self.children
+        skip, children, advance = self.index.skip, self.children, self.index.on_front_advance
         owned, chain = False, 0
         while True:
-            base = j if front is None else front
+            base = front or j
             a = base + 1
             b = children.successor(j, base)
             # One bisection at a gives both counts of a step; the one at b serves all.
@@ -190,21 +194,21 @@ class LinkTree:
                     children.insert(j, x)
                     break
                 a = x + 1
-            self.scan_loop_max = max(self.scan_loop_max, steps)
+            if steps > self.scan_loop_max:
+                self.scan_loop_max = steps
             for target in (front, x):
-                if target is not None and target <= n and links.get(target, 0) >> 1 != j:
+                if target and target <= n and (links.get(target, 0) & low) >> 1 != j:
                     raise InternalConsistencyError(
                         f"front target {target} of {j} is not its child")
-            if front is None:
-                link = links.get(j)
-                if owned != (link is not None and fronts.get(link >> 1) == j):
-                    raise InternalConsistencyError(f"owner of {j} out of sync with the chain")
-            self.index.on_front_advance(j, front, x, owned)
+            if not front and owned != (
+                    links.get((links.get(j, 0) & low) >> 1, 0) >> shift == j):
+                raise InternalConsistencyError(f"owner of {j} out of sync with the chain")
+            advance(j, front, x, owned)
             if not owned:
                 answer = x
-            if x > n or x in fronts:
+            if x > n or links[x] > low:
                 break
-            j, front, owned = x, None, True
+            j, front, owned = x, 0, True
             chain += 1
         if chain > self.max_recursion_depth:
             self.max_recursion_depth = chain
@@ -222,23 +226,25 @@ class LinkTree:
         Probes may not run ahead: k <= front(j), taking front(j) = j before
         any scan, unless k >= n.  A probe at or past n, a front at or past n
         and a scan that answers n all end the stream: one more scan would
-        move front(j) to n+1.  Any flag but None, DIRECT or COPY raises
-        unless a known child answers first.
+        move front(j) to n+1.  Any flag but None, DIRECT or COPY raises.
         """
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
+        if not (isinstance(k, int) and j <= k <= self.n + 1):
+            raise ValueError(f"probe {k!r} outside [{j}, {self.n + 1}]")
+        if flag not in (None, DIRECT, COPY):
+            raise ValueError(f"flag {flag!r} is not None, DIRECT or COPY")
+        return self._typed(j, k, flag)
+
+    def _typed(self, j: int, k: int, flag: int | None) -> int:
         n, links = self.n, self.links
-        if not (isinstance(j, int) and 1 <= j <= n):
-            raise ValueError(f"node {j!r} outside [1, {n}]")
-        if not (isinstance(k, int) and j <= k <= n + 1):
-            raise ValueError(f"probe {k!r} outside [{j}, {n + 1}]")
-        front = self.fronts.get(j, j)
+        front = links.get(j, 0) >> self.shift or j
         if front > j:
             for x in self.children.above(j, k):
                 if x > front:
                     break
                 if flag is None or links[x] & 1 == flag:
                     return x
-        if flag not in (None, DIRECT, COPY):
-            raise ValueError(f"flag {flag!r} is not None, DIRECT or COPY")
         if front < k < n:
             raise ValueError(f"probe {k} ahead of the committed front of {j}")
         while k <= front < n:
@@ -261,44 +267,12 @@ class LinkTree:
     # -- resource accounting ---------------------------------------------------
 
     def stored_cells(self) -> int:
-        return len(self.links) + self.children.total_cells() + self.index.total_cells()
+        return self.children.total_cells() + self.index.total_cells()
 
     def check_invariants(self) -> None:
-        """Recheck child lists, fronts and the candidate index against the links.
-
-        Raises :class:`InternalConsistencyError` at the first contradiction;
-        holds between public calls.  Costs O(L + F log F) for L links and F
-        fronted nodes.
-        """
-        n, links, fronts, index = self.n, self.links, self.fronts, self.index
-        listed = 0
-        for j in self.children.touched():
-            kids = self.children.members(j)
-            if (not kids or any(x >= y for x, y in zip(kids, kids[1:]))
-                    or any(not j < x <= n or links.get(x, 0) >> 1 != j for x in kids)):
-                raise InternalConsistencyError(f"child list of {j} disagrees with the links")
-            listed += len(kids)
-        if listed != len(links):
-            raise InternalConsistencyError(f"{listed} listed children for {len(links)} links")
-        if any(not j < f <= n + 1 or (f <= n and links.get(f, 0) >> 1 != j)
-               for j, f in fronts.items()):
-            raise InternalConsistencyError("a front target is not a child of its node")
-        owned = {f for f in fronts.values() if f <= n}
-        if not owned <= fronts.keys():
-            raise InternalConsistencyError(f"owned nodes without a front: {owned - fronts.keys()}")
-        if list(index.skip) != sorted(j for j in fronts if j not in owned):
-            raise InternalConsistencyError("skip set is not fronted minus owned")
-        # Node i blocks (i, front(i)].  Both counts grow by one per position
-        # between the points where a block starts or ends; check those.
-        change = dict.fromkeys((2, n + 1), 0)
-        for i, f in fronts.items():
-            change[i + 1] = change.get(i + 1, 0) + 1
-            change[f + 1] = change.get(f + 1, 0) - 1
-        blocked = 0
-        for a in sorted(change):
-            blocked += change[a]
-            if a <= n + 1 and index.open_parent_count(a) != (a - 1) - blocked:
-                raise InternalConsistencyError(f"open parent count wrong at {a}")
+        """Raise :class:`InternalConsistencyError` where the state contradicts the links."""
+        from .invariants import check_invariants
+        check_invariants(self)
 
 
 class RRTGenerator:
@@ -315,7 +289,9 @@ class RRTGenerator:
         self._cursor = {}
 
     def parent(self, j: int) -> int:
-        return self.tree.parent(j)[0]
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
+        return self.tree._parent(j)[0]
 
     def next_child(self, j: int, k: int) -> int:
         return self.tree.next_child_from(j, k)

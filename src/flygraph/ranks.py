@@ -15,16 +15,12 @@ position a, through exactly one link, when its head lies below a:
 
 A scan that answers a fresh node leaves one owned node without a front at a
 chain's end; ``LinkTree.next_child`` scans that node next and tells the scan
-it is owned, which counts the chain end back as open.  The index owns the
-fronts and keeps the skip set in step from
-:meth:`CandidateIndex.on_front_advance`.
+it is owned, which counts the chain end back as open.  The index holds each
+node's front in the one record per node it shares with the link tree, and
+keeps the skip set in step from :meth:`CandidateIndex.on_front_advance`.
 
 The skip set is a :class:`SortedBlocks`, sorted blocks under a Fenwick tree
-of their sizes: a rank costs two C bisections and O(log B) additions for B
-blocks, and an add or remove updates the counts in place.  A select, the
-r-th position outside the set, costs at most three C bisections and
-O(log B + log BLOCK_LOAD) Python steps, however dense the set is: a scan
-step makes one, where a fixpoint over ranks would pass the set run by run.
+of their sizes, whose methods give the cost of each rank, select and edit.
 """
 
 from __future__ import annotations
@@ -207,18 +203,20 @@ class SortedBlocks:
 
 
 class CandidateIndex:
-    """Sparse counting structures over scan fronts.
+    """Sparse counting structures over scan fronts, never growing with n.
 
-    Storage grows with the number of fronted nodes, never with n.  ``fronts``
-    maps each fronted node to its front; ``skip`` is sorted.  Its one owner,
-    :class:`~flygraph.linktree.LinkTree`, has checked n and every position.
+    ``links`` maps a node to ``front << shift | parent << 1 | flag``, front 0
+    before its first scan; its one owner, :class:`~flygraph.linktree.LinkTree`,
+    shares the dict and has checked n and every position.
     """
 
-    __slots__ = ("n", "fronts", "skip")
+    __slots__ = ("n", "links", "shift", "low", "skip")
 
     def __init__(self, n: int):
         self.n = n
-        self.fronts = {}
+        self.links = {}
+        self.shift = (n + 1).bit_length() + 1   # parent << 1 | flag lies below 2**shift
+        self.low = (1 << self.shift) - 1
         self.skip = SortedBlocks()  # fronted nodes with no current owner
 
     # -- counting queries --------------------------------------------------
@@ -228,16 +226,11 @@ class CandidateIndex:
         return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_count(self, a: int, b: int) -> int:
-        """Size of [a, b) with skip-set members removed."""
-        if a > b:
-            raise ValueError(f"empty-range bounds reversed: [{a}, {b})")
-        skip = self.skip
-        return (b - a) - (skip.bisect_left(b) - skip.bisect_left(a))
+        """Size of [a, b) with skip-set members removed; 1 <= a <= b <= n+1."""
+        return self.unskipped_rank(b) - self.unskipped_rank(a)
 
     def unskipped_rank(self, a: int) -> int:
-        """Number of positions in [1, a) outside the skip set."""
-        if not 1 <= a <= self.n + 1:
-            raise ValueError(f"position {a} outside [1, {self.n + 1}]")
+        """Number of positions in [1, a) outside the skip set; a in [1, n+1]."""
         return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_select(self, s: int) -> int:
@@ -253,43 +246,42 @@ class CandidateIndex:
         return skip.select_outside(s + 1, s + 1)
 
     def unskipped_after(self, a: int, h: int) -> int:
-        """The (h+1)-th unskipped position at or after a."""
-        if h < 0:
-            raise IndexError("rank offset must be nonnegative")
+        """The (h+1)-th unskipped position at or after a, for h >= 0."""
         return self.unskipped_select(self.unskipped_rank(a) + h)
 
     # -- maintenance ---------------------------------------------------------
 
     def on_front_advance(self, i: int, old, new: int, has_owner: bool) -> None:
-        """Record front(i) moving from ``old`` (possibly None) to ``new``.
+        """Record front(i) moving from ``old`` (0 or None for none) to ``new``.
 
-        The caller read ``old`` from ``fronts`` and chose ``new`` above it.
+        The caller read ``old`` from i's record and chose ``new`` above it.
         ``has_owner`` says whether something fronts to i; it matters only at
         i's first front, when i joins the skip set unless owned.  The old
         target (a real node) loses its owner and joins the skip set; the new
         one gains an owner and leaves it, unless it has no front yet.
         """
-        fronts = self.fronts
-        fronts[i] = new
-        if old is None:
+        links, low = self.links, self.low
+        # Only node 1 is fronted before it is linked: its record is parent 1, DIRECT.
+        links[i] = new << self.shift | links.get(i, 2) & low
+        if not old:
             if not has_owner:
                 self.skip.add(i)
         elif old <= self.n:
-            if old not in fronts:
+            if links.get(old, 0) <= low:
                 raise InternalConsistencyError(f"old front target {old} of {i} has no front")
             self.skip.add(old)
-        if new <= self.n and new in fronts:
+        if new <= self.n and links.get(new, 0) > low:
             self.skip.remove(new)
 
     # -- introspection (tests, resource accounting) ---------------------------
 
     @property
     def fronted_nodes(self) -> tuple:
-        return tuple(sorted(self.fronts))
+        return tuple(sorted(i for i, record in self.links.items() if record >> self.shift))
 
     @property
     def skip_members(self) -> tuple:
         return tuple(self.skip)
 
     def total_cells(self) -> int:
-        return len(self.fronts) + self.skip.cells()
+        return len(self.links) + self.skip.cells()

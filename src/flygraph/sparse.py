@@ -13,16 +13,7 @@ from .errors import InternalConsistencyError
 
 
 class LazyMap:
-    """Mapping on the key domain [1, n+1] that stores only written keys.
-
-    >>> m = LazyMap(10, "demo")
-    >>> m.get(3) is None
-    True
-    >>> m.set(3, 7); m.get(3)
-    7
-    >>> len(m)
-    1
-    """
+    """Mapping on the key domain [1, n+1] that stores only written keys."""
 
     __slots__ = ("n", "name", "_d")
 

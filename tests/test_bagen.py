@@ -93,7 +93,7 @@ def decreasing_outcome(gen, calls=1):
         later[j] = [gen.next_neighbor(j) for _ in range(calls - 1)]
     assert parents[1] == 1 and all(1 <= parents[j] < j for j in range(2, n + 1))
     if calls == 1:
-        assert not gen.tree.fronts, "a first answer scanned for a child"
+        assert not gen.tree.index.fronted_nodes, "a first answer scanned for a child"
     for j in range(n, 0, -1):
         kids = [x for x in later[j] if x <= n]
         while (x := gen.next_neighbor(j)) <= n:
@@ -130,7 +130,7 @@ def test_first_call_answers_target_without_scanning(j):
     assert lazy.next_neighbor(j) == twin.ba_parent(j)
     assert lazy.bits_consumed == twin.bits_consumed
     assert lazy.tree.links == twin.tree.links
-    assert j not in lazy.tree.fronts
+    assert lazy.tree.links.get(j, 0) >> lazy.tree.shift == 0
 
 
 @pytest.mark.parametrize("j", [1, 2, random.Random(11).randrange(3, 10**6 + 1)])
@@ -190,3 +190,16 @@ def test_determinism():
     seq_b = [b.next_neighbor(j) for j in (3, 3, 1, 7, 3, 20, 1)]
     assert seq_a == seq_b
     assert a.bits_consumed == b.bits_consumed
+
+
+def test_float_node_rejected_once_its_streams_are_open():
+    # A float equal to a node used to find that node's open heap and answer
+    # its next neighbor; the check at the top of next_neighbor stops it.
+    gen, twin = BAGenerator(10, seed=1), BAGenerator(10, seed=1)
+    for g in (gen, twin):
+        g.next_neighbor(2)
+        g.next_neighbor(2)
+    with pytest.raises(ValueError, match="outside"):
+        gen.next_neighbor(2.0)
+    assert gen.next_neighbor(2) == twin.next_neighbor(2)
+    assert gen.bits_consumed == twin.bits_consumed

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from scipy.stats import chi2
 
-from flygraph import (BAGenerator, BitSource, InternalConsistencyError,
+from flygraph import (COPY, DIRECT, BAGenerator, BitSource, InternalConsistencyError,
                       LinkTree, NaiveLinkTree, RRTGenerator, chi_square_gof,
                       chi_square_two_sample, enumerate_exact,
                       sample_candidate_rank)
@@ -248,13 +248,13 @@ class TestConstruction:
     def test_non_int_node_rejected_without_state_change(self):
         t = LinkTree(10, seed=1)
         t.next_child(2)
-        state = (dict(t.links), dict(t.fronts), t.source.bits_consumed)
+        state = (dict(t.links), t.source.bits_consumed)
         for call, args in ((t.parent, (2.0,)), (t.next_child, (3.0,)),
                            (t.next_child, ("3",)), (t.next_child_typed, (2.0, 2, None)),
                            (t.next_child_typed, (2, 2.0, None))):
             with pytest.raises(ValueError, match="outside"):
                 call(*args)
-            assert (t.links, t.fronts, t.source.bits_consumed) == state
+            assert (t.links, t.source.bits_consumed) == state
         for gen, call in ((RRTGenerator(10, seed=1), "parent"),
                           (BAGenerator(10, seed=1), "next_neighbor")):
             with pytest.raises(ValueError, match="outside"):
@@ -384,9 +384,19 @@ class RejectingSource(BitSource):
         return super().uniform_int(m)
 
 
+def front_of(tree, x):
+    """Front stored in x's record, 0 before x's first scan."""
+    return tree.links.get(x, 0) >> tree.shift
+
+
+def parent_field(tree, x):
+    """Parent stored in x's record, 0 when x has none; nothing is drawn."""
+    return (tree.links.get(x, 0) & tree.low) >> 1
+
+
 def open_parents(tree, j):
     """Nodes below j whose front has not passed j, by brute force."""
-    return [i for i in range(1, j) if tree.fronts.get(i, 0) < j]
+    return [i for i in range(1, j) if front_of(tree, i) < j]
 
 
 class TestNextChild:
@@ -441,8 +451,8 @@ class TestNextChild:
         last = 0
         for _ in range(6):
             t.next_child(3)
-            front = t.fronts.get(3)
-            assert front is not None
+            front = front_of(t, 3)
+            assert front
             assert front > last or front == last == 16
             last = front
 
@@ -450,7 +460,7 @@ class TestNextChild:
         t = LinkTree(2000, seed=1)
         with pytest.raises(ValueError, match="flag"):
             t.next_child_typed(1, 1, 2)
-        assert (t.links, t.fronts, t.children.touched()) == ({}, {}, ())
+        assert (t.links, t.children.touched()) == ({}, ())
         assert len(t.index.skip) == 0 and t.source.bits_consumed == 0
         # The two ends of a stream that need no scan: a probe at n, and a
         # stream already read out.
@@ -475,8 +485,7 @@ class TestNextChild:
 def brute_open_parent_count(tree, a):
     count = 0
     for i in range(1, a):
-        f = tree.fronts.get(i)
-        if f is None or f < a:
+        if front_of(tree, i) < a:
             count += 1
     return count
 
@@ -484,16 +493,16 @@ def brute_open_parent_count(tree, a):
 def check_invariants(tree):
     tree.check_invariants()
     n = tree.n
-    fronted = {j for j in range(1, n + 1) if tree.fronts.get(j) is not None}
+    fronted = {j for j in range(1, n + 1) if front_of(tree, j)}
     assert set(tree.index.fronted_nodes) == fronted
-    assert tree.fronts is tree.index.fronts
+    assert tree.links is tree.index.links
     owned = set()
     for j in fronted:
-        f = tree.fronts.get(j)
+        f = front_of(tree, j)
         assert f > j
         if f <= n:
-            assert tree.links[f] >> 1 == j
-            assert tree.fronts.get(f) is not None
+            assert parent_field(tree, f) == j
+            assert front_of(tree, f)
             assert f not in owned
             owned.add(f)
         if j >= 2:
@@ -503,9 +512,11 @@ def check_invariants(tree):
     for a in range(2, n + 2):
         assert tree.index.open_parent_count(a) == brute_open_parent_count(tree, a)
     for j in range(1, n + 1):
-        committed = tuple(x for x in range(2, n + 1) if tree.links.get(x, 0) >> 1 == j)
+        committed = tuple(x for x in range(2, n + 1) if parent_field(tree, x) == j)
         assert tree.children.members(j) == committed
-    assert all(2 <= x <= n and 1 <= link >> 1 < x for x, link in tree.links.items())
+    assert all(2 <= x <= n and 1 <= parent_field(tree, x) < x for x in tree.links if x != 1)
+    if 1 in tree.links:
+        assert tree.links[1] & tree.low == 1 << 1 | DIRECT and front_of(tree, 1)
 
 
 @pytest.mark.parametrize("n,seed,steps", [(8, 0, 60), (20, 1, 120), (50, 2, 200)])
@@ -513,6 +524,7 @@ def test_invariant_fuzz(n, seed, steps):
     rng = random.Random(seed)
     tree = LinkTree(n, seed=seed + 100)
     cursor = {}
+    fields = {}   # node -> parent << 1 | flag, as first seen in its record
     for step in range(steps):
         j = rng.randrange(1, n + 1)
         op = rng.randrange(3)
@@ -534,6 +546,9 @@ def test_invariant_fuzz(n, seed, steps):
             if r <= n:
                 assert tree.links[r] & 1 == flag
             cursor[j] = min(r, n + 1)
+        # A later query moves fronts only: no record's parent or flag changes.
+        for x, record in tree.links.items():
+            assert fields.setdefault(x, record & tree.low) == record & tree.low, x
         if step % 7 == 0 or step == steps - 1:
             check_invariants(tree)
 
@@ -695,21 +710,24 @@ class TestBrokenState:
                     pass
 
     def test_parent_over_stale_skip_set_raises(self):
-        # A front written behind the index's back leaves the skip set short
-        # of a fronted node: the index still counts node 1 as an open parent
-        # of 2, while its front says otherwise, so all three draws are
-        # rejected and the select's answer is not an open parent.
+        # A front written into node 1's record behind the index's back
+        # leaves the skip set short of a fronted node: the index still counts
+        # node 1 as an open parent of 2, while its front says otherwise, so
+        # all three draws are rejected and the select's answer is not an
+        # open parent.
         tree = LinkTree(3, seed=0)
-        tree.fronts[1] = 4
+        tree.links[1] = 4 << tree.shift | 1 << 1 | DIRECT
         with hang_fails(), pytest.raises(InternalConsistencyError, match="skip set"):
             tree.parent(2)
 
     def test_scan_onto_front_the_index_never_saw_raises(self):
-        # A front written behind the index's back makes node 5 look fronted
-        # but leaves it out of the skip set: the scan that makes 5 its
-        # target must take 5 out of a skip set it never joined.
+        # A front written into node 5's record behind the index's back makes
+        # 5 look fronted but leaves it out of the skip set: the scan that
+        # reaches 5 as its parent's next child must take 5 out of a skip set
+        # it never joined.
         tree = LinkTree(30, seed=0)
-        tree.fronts[5] = 31
+        tree.parent(5)
+        tree.links[5] |= 31 << tree.shift
         with hang_fails(), pytest.raises(InternalConsistencyError, match="not in the index"):
             for j in range(1, 31):
                 while tree.next_child(j) <= 30:
@@ -723,12 +741,22 @@ class TestBrokenState:
         tree = LinkTree(30, seed=0)
         for j in range(1, 10):
             tree.next_child(j)
-        owned = min(f for f in tree.fronts.values() if f <= 30)
-        del tree.fronts[owned]
+        owned = min(f for f in (front_of(tree, j) for j in tree.index.fronted_nodes) if f <= 30)
+        tree.links[owned] &= tree.low
         with pytest.raises(InternalConsistencyError, match="without a front"):
             tree.check_invariants()
         with hang_fails(), pytest.raises(InternalConsistencyError, match="out of sync"):
             tree.next_child(owned)
+
+    def test_node_one_record_not_a_root_raises(self):
+        # Node 1's record appears at its first front with parent 1 and
+        # DIRECT, and it is no child; a COPY flag written into it is caught.
+        tree = LinkTree(30, seed=0)
+        tree.next_child(1)
+        tree.check_invariants()
+        tree.links[1] |= COPY
+        with pytest.raises(InternalConsistencyError, match="node 1"):
+            tree.check_invariants()
 
     def test_child_dropped_from_its_list_raises(self):
         # The dropped child's link still names its parent, so the lists now
@@ -786,8 +814,8 @@ def test_typed_walk_matches_probe_by_probe(n):
     def probe_by_probe(tree, j, k, flag):
         x = k
         while x < n:
-            front, q = tree.fronts.get(j), tree.children.successor(j, x)
-            x = q if front is not None and q <= front else tree.next_child(j)
+            front, q = front_of(tree, j), tree.children.successor(j, x)
+            x = q if front and q <= front else tree.next_child(j)
             if x > n or flag is None or tree.links[x] & 1 == flag:
                 return x
         return n + 1
@@ -806,7 +834,7 @@ def test_typed_walk_matches_probe_by_probe(n):
             assert r == probe_by_probe(ref, j, k, flag)
             cursor[j, flag] = min(r, n + 1)
         assert one.source.bits_consumed == ref.source.bits_consumed
-        assert one.links == ref.links and one.fronts == ref.fronts
+        assert one.links == ref.links
 
 
 def test_determinism_bit_for_bit():

@@ -5,7 +5,8 @@ Each step asks ``parent`` of any node, ``next_child`` of any node, or
 node's committed front or anywhere between the node and that front.  After
 each step the machine checks the answer against what the tree has committed
 (a child answer passes no matching child of the node, and a link never
-changes once answered) and calls ``check_invariants()``.
+changes once answered), checks that no record's parent or flag field ever
+changes, and calls ``check_invariants()``.
 """
 
 import pytest
@@ -26,20 +27,25 @@ class Queries(RuleBasedStateMachine):
         self.n = n
         self.tree = LinkTree(n, seed=seed)
         self.links = {1: (1, DIRECT)}
+        self.fields = {}   # node -> parent << 1 | flag, as first seen in its record
+
+    def front(self, j):
+        """Front stored in j's record, 0 before j's first scan."""
+        return self.tree.links.get(j, 0) >> self.tree.shift
 
     def _node(self, data):
         return data.draw(st.integers(1, self.n))
 
     def _check_child(self, j, k, x, flag):
         """x answers j's least child above k with ``flag`` (any, for None)."""
-        n, links = self.n, self.tree.links
+        n, links, low = self.n, self.tree.links, self.tree.low
         assert min(k, n) < x <= n + 1
         for y in range(k + 1, min(x, n + 1)):
             link = links.get(y, 0)
-            assert link >> 1 != j or (flag is not None and link & 1 != flag), y
+            assert (link & low) >> 1 != j or (flag is not None and link & 1 != flag), y
         if x <= n:
             link = links[x]
-            assert link >> 1 == j and (flag is None or link & 1 == flag)
+            assert (link & low) >> 1 == j and (flag is None or link & 1 == flag)
             assert self.links.setdefault(x, (j, link & 1)) == (j, link & 1)
 
     @rule(data=st.data())
@@ -52,16 +58,16 @@ class Queries(RuleBasedStateMachine):
     @rule(data=st.data())
     def ask_next_child(self, data):
         j = self._node(data)
-        front = self.tree.fronts.get(j, j)
+        front = self.front(j) or j
         x = self.tree.next_child(j)
         self._check_child(j, front, x, None)
-        assert self.tree.fronts[j] == x
+        assert self.front(j) == x
 
     @rule(data=st.data(), flag=st.sampled_from((0, 1, None)))
     def ask_typed(self, data, flag):
         j = self._node(data)
-        front = self.tree.fronts.get(j)
-        k = j if front is None else data.draw(st.just(front) | st.integers(j, front))
+        front = self.front(j)
+        k = j if not front else data.draw(st.just(front) | st.integers(j, front))
         x = self.tree.next_child_typed(j, k, flag)
         self._check_child(j, k, x, flag)
 
@@ -69,6 +75,12 @@ class Queries(RuleBasedStateMachine):
     def links_never_change(self):
         for j, link in self.links.items():
             assert self.tree.parent(j) == link
+
+    @invariant()
+    def records_keep_parent_and_flag(self):
+        low = self.tree.low
+        for x, record in self.tree.links.items():
+            assert self.fields.setdefault(x, record & low) == record & low, x
 
     @invariant()
     def tree_is_consistent(self):

@@ -31,6 +31,7 @@ def test_import_loads_only_the_query_path():
         "             if m.startswith('flygraph') and 'NaiveLinkTree' in vars(mod)))\n")
     loaded, oracle_holders = map(eval, out.splitlines())
     assert "flygraph.batch" not in loaded and "flygraph.stats" not in loaded
+    assert "flygraph.invariants" not in loaded
     assert "flygraph.bagen" in loaded and "flygraph.linktree" in loaded
     assert not any(m.startswith("sortedcontainers") for m in loaded)
     # The test oracle NaiveLinkTree is defined in no module loaded so far.
