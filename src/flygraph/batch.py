@@ -46,8 +46,8 @@ class GraphSample:
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("n must be a positive int")
 
 
 def batch_ba(n: int, seed: int = 0) -> GraphSample:
@@ -110,8 +110,8 @@ def enumerate_exact(model: str, n: int) -> dict:
     """
     if model not in BATCH_SAMPLERS:
         raise ValueError(f"unknown model {model!r}")
-    if not 1 <= n <= 8:
-        raise ValueError("exact enumeration supports 1 <= n <= 8")
+    if not (isinstance(n, int) and 1 <= n <= 8):
+        raise ValueError("exact enumeration supports int n with 1 <= n <= 8")
     law = {(): Fraction(1)}
     for j in range(2, n + 1):
         extended = {}

@@ -146,7 +146,7 @@ def _cmd_stats(args) -> int:
             "model": args.model, "n": args.n, "seeds": args.seeds,
             "tv": tv, "chi2_p": chi2_p,
             "degree_hist": {str(k): degree_hist[k] for k in sorted(degree_hist)},
-            "height": height_mean, "max_indeg": max_fan_out,
+            "height": height_mean, "max_fan_out": max_fan_out,
         }))
     else:
         print(f"model={args.model} n={args.n} seeds={args.seeds}")

@@ -18,10 +18,10 @@ def check_invariants(tree) -> None:
                 or any(not j < x <= n or (links.get(x, 0) & low) >> 1 != j for x in kids)):
             raise InternalConsistencyError(f"child list of {j} disagrees with the links")
         listed += len(kids)
-    # Node 1's record, made at its first front, is parent 1 and DIRECT and no child.
-    if links.get(1, 2) & low != 1 << 1 | DIRECT:
+    # Node 1's record, made with the tree, is parent 1 and DIRECT and no child.
+    if links.get(1, 0) & low != 1 << 1 | DIRECT:
         raise InternalConsistencyError("node 1's record is not parent 1, DIRECT")
-    if listed != len(links) - (1 in links):
+    if listed != len(links) - 1:
         raise InternalConsistencyError(f"{listed} listed children for {len(links)} links")
     if any(not j < f <= n + 1 or (f <= n and (links.get(f, 0) & low) >> 1 != j)
            for j, f in fronts.items()):

@@ -74,13 +74,14 @@ class LinkTree:
                  "scan_loop_max", "max_recursion_depth")
 
     def __init__(self, n: int, seed: int = 0):
-        if n < 1:
-            raise ValueError("n must be positive")
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError("n must be a positive int")
         self.n = n
         self.source = BitSource(seed)
         self.index = CandidateIndex(n)
         self.children = ChildSets(n)
         self.links, self.shift, self.low = self.index.links, self.index.shift, self.index.low
+        self.links[1] = 1 << 1 | DIRECT   # node 1, the root, links to itself
         self.scan_loop_max = 0
         self.max_recursion_depth = 0
 
@@ -104,8 +105,6 @@ class LinkTree:
         return self._parent(j)
 
     def _parent(self, j: int) -> tuple[int, int]:
-        if j == 1:
-            return 1, DIRECT
         links = self.links
         link = links.get(j)
         if link is not None:
@@ -154,7 +153,7 @@ class LinkTree:
         n, links, shift, low = self.n, self.links, self.shift, self.low
         if not (isinstance(j, int) and 1 <= j <= n):
             raise ValueError(f"node {j!r} outside [1, {n}]")
-        if j > 1 and j not in links:
+        if j not in links:
             self._parent(j)
         front = links.get(j, 0) >> shift
         if front > n:
@@ -260,14 +259,12 @@ class LinkTree:
         """Parent link of j in the random recursive tree (flag dropped)."""
         return self.parent(j)[0]
 
-    def rrt_next_child(self, j: int, k: int) -> int:
-        """Children of j in the random recursive tree, flags ignored."""
-        return self.next_child_from(j, k)
+    rrt_next_child = next_child_from   # children of j, flags ignored
 
     # -- resource accounting ---------------------------------------------------
 
     def stored_cells(self) -> int:
-        return self.children.total_cells() + self.index.total_cells()
+        return len(self.links) + self.index.skip.cells() + self.children.total_cells()
 
     def check_invariants(self) -> None:
         """Raise :class:`InternalConsistencyError` where the state contradicts the links."""

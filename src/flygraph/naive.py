@@ -18,8 +18,8 @@ class NaiveLinkTree:
     """
 
     def __init__(self, n: int, seed: int = 0):
-        if n < 1:
-            raise ValueError("n must be positive")
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError("n must be a positive int")
         self.n = n
         self.source = BitSource(seed)
         self.links = {}

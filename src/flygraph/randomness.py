@@ -35,6 +35,8 @@ class BitSource:
     __slots__ = ("_key", "_buf", "_avail", "bits_consumed")
 
     def __init__(self, seed: int = 0):
+        if not isinstance(seed, int):
+            raise ValueError(f"seed {seed!r} is not an int")
         self._key = seed & _MASK64
         self._buf = 0
         self._avail = 0

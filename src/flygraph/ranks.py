@@ -41,10 +41,10 @@ class SortedBlocks:
     holds each block's largest member, and ``_tree`` is a Fenwick tree over
     the block sizes, so the members in blocks before block k sum in
     O(log B) for B blocks.  ``add`` and ``remove`` update one Fenwick path;
-    the tree is rebuilt only when a block splits or empties.  The rank
-    and edit methods keep ``sortedcontainers.SortedList``'s names and
-    answers; ``select_outside``, which it lacks, searches the members
-    below an answer by bisection and one Fenwick descent.
+    the tree is rebuilt only when a block splits or empties.  It offers
+    ``bisect_left`` (members below a value), ``select_outside`` (the
+    rank-th position outside the members), ``add``, ``remove``, in-order
+    iteration, ``len`` and ``cells`` for the space it holds.
     """
 
     __slots__ = ("_lists", "_maxes", "_tree", "_len")
@@ -225,13 +225,11 @@ class CandidateIndex:
         """Number of i < a with front(i) unset or front(i) < a; a in [2, n+1]."""
         return (a - 1) - self.skip.bisect_left(a)
 
+    unskipped_rank = open_parent_count   # positions in [1, a) outside the skip set
+
     def unskipped_count(self, a: int, b: int) -> int:
         """Size of [a, b) with skip-set members removed; 1 <= a <= b <= n+1."""
         return self.unskipped_rank(b) - self.unskipped_rank(a)
-
-    def unskipped_rank(self, a: int) -> int:
-        """Number of positions in [1, a) outside the skip set; a in [1, n+1]."""
-        return (a - 1) - self.skip.bisect_left(a)
 
     def unskipped_select(self, s: int) -> int:
         """The (s+1)-th smallest position in [1, n+1] outside the skip set.
@@ -261,8 +259,7 @@ class CandidateIndex:
         one gains an owner and leaves it, unless it has no front yet.
         """
         links, low = self.links, self.low
-        # Only node 1 is fronted before it is linked: its record is parent 1, DIRECT.
-        links[i] = new << self.shift | links.get(i, 2) & low
+        links[i] = new << self.shift | links.get(i, 0) & low
         if not old:
             if not has_owner:
                 self.skip.add(i)
@@ -282,6 +279,3 @@ class CandidateIndex:
     @property
     def skip_members(self) -> tuple:
         return tuple(self.skip)
-
-    def total_cells(self) -> int:
-        return len(self.links) + self.skip.cells()

@@ -114,8 +114,7 @@ class ChildSets:
 
     def members(self, j: int) -> tuple:
         """Children recorded for j so far."""
-        s = self._sets.get(j, ())
-        return (s,) if type(s) is int else tuple(s)
+        return tuple(self.above(j, 0))
 
     def touched(self) -> tuple:
         """Nodes with at least one recorded child."""

@@ -151,6 +151,14 @@ def test_stats_text_and_json(capsys):
     assert blob["height"] > 0
 
 
+def test_stats_json_spells_max_fan_out_as_text_does(capsys):
+    argv = ("stats", "--model", "rrt", "--n", "6", "--seeds", "20")
+    _, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, *argv, "--output", "json")
+    fan_out = int(re.search(r"max_fan_out=(\d+)", text).group(1))
+    assert json.loads(out)["max_fan_out"] == fan_out
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "sample")[0] == 1
     assert run(capsys, "nope", "--n", "3")[0] == 1

@@ -15,8 +15,8 @@ import pytest
 from scipy.stats import chi2
 
 from flygraph import (COPY, DIRECT, BAGenerator, BitSource, InternalConsistencyError,
-                      LinkTree, NaiveLinkTree, RRTGenerator, chi_square_gof,
-                      chi_square_two_sample, enumerate_exact,
+                      LinkTree, NaiveLinkTree, RRTGenerator, batch_ba, batch_rrt,
+                      chi_square_gof, chi_square_two_sample, enumerate_exact,
                       sample_candidate_rank)
 from flygraph.ranks import SortedBlocks
 
@@ -233,6 +233,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NaiveLinkTree(0)
 
+    @pytest.mark.parametrize("make,args", [
+        (BAGenerator, (10.0,)), (RRTGenerator, (1e3,)), (LinkTree, ("5",)),
+        (BAGenerator, (10, 1.5)), (BAGenerator, (10, None)), (batch_ba, (10.0,)),
+        (batch_rrt, (5.5,)), (enumerate_exact, ("ba", 3.0)), (NaiveLinkTree, (4.0,))])
+    def test_non_int_size_or_seed_rejected(self, make, args):
+        with pytest.raises(ValueError, match="int"):
+            make(*args)
+
     def test_node_range_checks(self):
         t = LinkTree(5)
         for bad in (0, 6, -1):
@@ -259,7 +267,7 @@ class TestConstruction:
                           (BAGenerator(10, seed=1), "next_neighbor")):
             with pytest.raises(ValueError, match="outside"):
                 getattr(gen, call)(2.5)
-            assert gen.bits_consumed == 0 and gen.tree.links == {}
+            assert gen.bits_consumed == 0 and gen.tree.links == {1: 1 << 1 | DIRECT}
 
     def test_probe_ahead_of_front_rejected(self):
         t = LinkTree(8, seed=3)
@@ -460,7 +468,7 @@ class TestNextChild:
         t = LinkTree(2000, seed=1)
         with pytest.raises(ValueError, match="flag"):
             t.next_child_typed(1, 1, 2)
-        assert (t.links, t.children.touched()) == ({}, ())
+        assert (t.links, t.children.touched()) == ({1: 2}, ())
         assert len(t.index.skip) == 0 and t.source.bits_consumed == 0
         # The two ends of a stream that need no scan: a probe at n, and a
         # stream already read out.
@@ -505,8 +513,7 @@ def check_invariants(tree):
             assert front_of(tree, f)
             assert f not in owned
             owned.add(f)
-        if j >= 2:
-            assert tree.links.get(j) is not None
+        assert tree.links.get(j) is not None
     expected_skip = fronted - owned
     assert set(tree.index.skip_members) == expected_skip
     for a in range(2, n + 2):
@@ -515,8 +522,7 @@ def check_invariants(tree):
         committed = tuple(x for x in range(2, n + 1) if parent_field(tree, x) == j)
         assert tree.children.members(j) == committed
     assert all(2 <= x <= n and 1 <= parent_field(tree, x) < x for x in tree.links if x != 1)
-    if 1 in tree.links:
-        assert tree.links[1] & tree.low == 1 << 1 | DIRECT and front_of(tree, 1)
+    assert tree.links[1] & tree.low == 1 << 1 | DIRECT
 
 
 @pytest.mark.parametrize("n,seed,steps", [(8, 0, 60), (20, 1, 120), (50, 2, 200)])
@@ -749,8 +755,8 @@ class TestBrokenState:
             tree.next_child(owned)
 
     def test_node_one_record_not_a_root_raises(self):
-        # Node 1's record appears at its first front with parent 1 and
-        # DIRECT, and it is no child; a COPY flag written into it is caught.
+        # Node 1's record, made with the tree, holds parent 1 and DIRECT,
+        # and it is no child; a COPY flag written into it is caught.
         tree = LinkTree(30, seed=0)
         tree.next_child(1)
         tree.check_invariants()
@@ -857,6 +863,23 @@ def test_sparse_cost_on_large_instance():
     assert t.source.bits_consumed < 40_000
     assert t.scan_loop_max <= 64
     assert t.max_recursion_depth <= 64
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rrt_names_read_the_link_tree(seed):
+    facade, twin = LinkTree(30, seed), LinkTree(30, seed)
+    assert facade.parent(1) == (1, DIRECT) and facade.source.bits_consumed == 0
+    facade.check_invariants()
+    for j in range(1, 31):
+        assert facade.rrt_parent(j) == twin.parent(j)[0]
+        k = j
+        while k <= 30:
+            x = facade.rrt_next_child(j, k)
+            assert x == twin.next_child_from(j, k)
+            k = x
+    assert facade.source.bits_consumed == twin.source.bits_consumed
+    assert facade.links == twin.links
+    facade.check_invariants()
 
 
 class TestRRTGenerator:
