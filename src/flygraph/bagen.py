@@ -9,8 +9,8 @@ repeated forever.
 
 A node's attachment children split into streams the link tree can enumerate
 directly: its own direct-flagged children, plus each answered child's
-copy-flagged children (copying a node's edge lands on the same head); node
-1 also owns its copy-flagged children, as copying the self-loop stays at 1.
+copy-flagged children (copying a node's edge lands on the same head).  Node
+1 is its own attachment child: its self-loop is answered like any child.
 The streams are strictly increasing and disjoint, so a heap merges them.
 
 A scan waits for the call whose answer needs it.  The first call answers
@@ -54,9 +54,9 @@ class BAGenerator:
         """Next neighbor of j: attachment target first, then children, then n+1.
 
         The first call answers ``ba_parent(j)``, the second opens j's streams;
-        an answered child stays atop j's heap until the next call pops it,
-        reads its stream's next head and opens its copy stream.  j is checked
-        here, once: the reads below go to the tree's unchecked internals.
+        an answered child (node 1's self-loop too) stays atop j's heap until
+        the next call pops it, reads its stream's next head and opens its copy
+        stream.  j is checked here, once: the reads go to unchecked internals.
         """
         n, tree, heaps = self.n, self.tree, self._heaps
         if not (isinstance(j, int) and 1 <= j <= n):
@@ -66,15 +66,11 @@ class BAGenerator:
             node, flag = tree._parent(j)
             while flag == COPY:
                 node, flag = tree._parent(node)
-            heaps[j] = _UNOPENED
+            heaps[j] = [1] if node == j else _UNOPENED   # node 1's self-loop
             return node
         if heap is _UNOPENED:
             head = tree._typed(j, j, DIRECT)
             heap = [head] if head <= n else []
-            if j == 1:
-                head = tree._typed(1, 1, COPY)
-                if head <= n:
-                    heapq.heappush(heap, head)
         elif heap:
             last = heapq.heappop(heap)
             # An answer's stream is its parent's: j's if direct, else the copied child's.

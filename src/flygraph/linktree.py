@@ -175,11 +175,8 @@ class LinkTree:
                     raise InternalConsistencyError(f"scan of {j} passed {limit} steps")
                 ka = skip.bisect_left(a)
                 s = (b - a) - (kb - ka)
-                if s == 0:
-                    h = 0
-                else:
-                    open_count = (a - 1) - ka + owned
-                    h = sample_candidate_rank(self.source, open_count, s + 1)
+                # a-1 (j, its front or a rejected x) is unskipped: the count is >= 1.
+                h = sample_candidate_rank(self.source, (a - 1) - ka + owned, s + 1)
                 if h == s:
                     x = b
                     break
@@ -294,14 +291,12 @@ class RRTGenerator:
         return self.tree.next_child_from(j, k)
 
     def next_neighbor(self, j: int) -> int:
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
         cur = self._cursor.get(j)
-        if cur is None:
-            answer = self.tree.parent(j)[0]
-            self._cursor[j] = j
-            return answer
-        r = self.tree.next_child_from(j, cur)
-        self._cursor[j] = r
-        return r
+        answer = self.tree._parent(j)[0] if cur is None else self.tree._typed(j, cur, None)
+        self._cursor[j] = j if cur is None else answer   # a call that raises stores nothing
+        return answer
 
     @property
     def bits_consumed(self) -> int:

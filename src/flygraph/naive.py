@@ -22,18 +22,16 @@ class NaiveLinkTree:
             raise ValueError("n must be a positive int")
         self.n = n
         self.source = BitSource(seed)
-        self.links = {}
-        self.flags = {}
+        self.links = {1: 1}   # node 1, the root, links to itself
+        self.flags = {1: DIRECT}
         self.fronts = {}
 
     def open_parent_count(self, x: int) -> int:
         return sum(1 for i in range(1, x) if self.fronts.get(i, 0) < x)
 
     def parent(self, j: int) -> tuple[int, int]:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        if j == 1:
-            return 1, DIRECT
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
         link = self.links.get(j)
         if link is not None:
             return link, self.flags[j]
@@ -48,10 +46,10 @@ class NaiveLinkTree:
 
     def next_child(self, j: int, k: int) -> int:
         """Least child of j above k: scan positions, one exact coin each."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"node {j} outside [1, {self.n}]")
-        if not j <= k <= self.n + 1:
-            raise ValueError(f"probe {k} outside [{j}, {self.n + 1}]")
+        if not (isinstance(j, int) and 1 <= j <= self.n):
+            raise ValueError(f"node {j!r} outside [1, {self.n}]")
+        if not (isinstance(k, int) and j <= k <= self.n + 1):
+            raise ValueError(f"probe {k!r} outside [{j}, {self.n + 1}]")
         links = self.links
         start_front = self.fronts.get(j, 0)
         result = self.n + 1

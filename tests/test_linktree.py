@@ -264,10 +264,21 @@ class TestConstruction:
                 call(*args)
             assert (t.links, t.source.bits_consumed) == state
         for gen, call in ((RRTGenerator(10, seed=1), "parent"),
+                          (RRTGenerator(10, seed=1), "next_neighbor"),
                           (BAGenerator(10, seed=1), "next_neighbor")):
             with pytest.raises(ValueError, match="outside"):
                 getattr(gen, call)(2.5)
             assert gen.bits_consumed == 0 and gen.tree.links == {1: 1 << 1 | DIRECT}
+
+    @pytest.mark.parametrize("call,args", [
+        ("next_child", (2.0, 2)), ("parent", (2.0,)), ("next_child", (2, 2.5))])
+    def test_naive_twin_rejects_non_int_node_without_state_change(self, call, args):
+        t = NaiveLinkTree(4, seed=1)
+        t.next_child(1, 1)
+        state = (dict(t.links), dict(t.fronts), t.source.bits_consumed)
+        with pytest.raises(ValueError, match="outside"):
+            getattr(t, call)(*args)
+        assert (t.links, t.fronts, t.source.bits_consumed) == state
 
     def test_probe_ahead_of_front_rejected(self):
         t = LinkTree(8, seed=3)
@@ -910,8 +921,8 @@ class TestRRTGenerator:
         # A rejected call stores nothing, not even a cursor.
         g = RRTGenerator(5, seed=0)
         g.next_neighbor(3)
-        cells = g.stored_cells()
-        for j in (0, 6):
+        cells, bits = g.stored_cells(), g.bits_consumed
+        for j in (0, 6, 3.0, "3"):
             with pytest.raises(ValueError, match="outside"):
                 g.next_neighbor(j)
-            assert g.stored_cells() == cells
+            assert (g.stored_cells(), g.bits_consumed) == (cells, bits)
